@@ -1,14 +1,15 @@
 //! The main synthesis pipeline (Theorems 2 and 10).
 
 use crate::collect::{collect_parameters, CollectInput};
+use crate::workload::{synthesize_workload_with, Workload};
 use nrs_delta0::macros as d0;
 use nrs_delta0::typing::TypeEnv;
 use nrs_delta0::{Formula, InContext, LogicError, MemAtom, Term};
 use nrs_interp::partition::Partition;
 use nrs_interp::{interpolate, InterpolationError};
 use nrs_nrc::{compile, eval as nrc_eval, macros as nrc_macros, Expr, NrcError};
-use nrs_proof::{ProofError, Sequent};
-use nrs_prover::{prove_sequent, ProverConfig, ProverSession};
+use nrs_proof::{Proof, ProofError, Sequent};
+use nrs_prover::{prove_sequent, ProverConfig, ProverSession, ProverStats};
 use nrs_value::{Instance, Name, NameGen, Type, Value};
 
 /// An implicit Δ0 specification `φ(ī, ā, o)` of an output object in terms of
@@ -62,22 +63,11 @@ pub struct SynthesisConfig {
     /// Whether to establish the top-level determinacy entailment first (a
     /// sanity check that also reproduces the paper's input assumption).
     pub check_determinacy: bool,
-    /// Synthesize the two components of a product output on separate threads
-    /// (they are independent sub-goals sharing the prover session).
-    pub parallel_goals: bool,
     /// Prove every goal of the run through one shared [`ProverSession`]
     /// (cross-goal failure-memo reuse; the default).  Disable to prove each
     /// goal with a cold prover — the oracle the session-cached mode is tested
     /// against.
     pub share_prover_session: bool,
-    /// Collect the per-depth parameter-collection goals (and the membership
-    /// interpolation goal) of a set-typed output up front and prove them in
-    /// **one batched prover call** with a shared saturation prefix — one
-    /// worker dispatch, every goal warmed by the failures and cached
-    /// specializations of the ones before it (the default).  Disable to
-    /// prove each goal as the recursion reaches it — the oracle the batched
-    /// mode is tested against.
-    pub batch_goals: bool,
 }
 
 impl Default for SynthesisConfig {
@@ -85,9 +75,7 @@ impl Default for SynthesisConfig {
         SynthesisConfig {
             prover: ProverConfig::default(),
             check_determinacy: false,
-            parallel_goals: false,
             share_prover_session: true,
-            batch_goals: true,
         }
     }
 }
@@ -193,8 +181,6 @@ pub struct SynthesisMetrics {
     pub occ_join_pairs: usize,
     /// Pairs the unindexed joins would additionally have enumerated.
     pub occ_join_pruned: usize,
-    /// Risky branch subtrees dispatched onto parallel prover workers.
-    pub parallel_branches: usize,
     /// Shard count of the session's failure-memo map.
     pub memo_lock_shards: usize,
     /// Lock acquisitions on the failure memo (reads + writes).
@@ -232,7 +218,6 @@ impl SynthesisMetrics {
         self.rewrite_cache_misses += stats.rewrite_cache_misses;
         self.occ_join_pairs += stats.occ_join_pairs;
         self.occ_join_pruned += stats.occ_join_pruned;
-        self.parallel_branches += stats.parallel_branches;
         self.memo_lock_shards = self.memo_lock_shards.max(stats.memo_lock.shards);
         self.memo_lock_acquisitions += stats.memo_lock.reads + stats.memo_lock.writes;
         self.memo_lock_contended +=
@@ -254,12 +239,12 @@ impl SynthesisMetrics {
         self.rewrite_cache_misses += from.rewrite_cache_misses;
         self.occ_join_pairs += from.occ_join_pairs;
         self.occ_join_pruned += from.occ_join_pruned;
-        self.parallel_branches += from.parallel_branches;
         self.memo_lock_shards = self.memo_lock_shards.max(from.memo_lock_shards);
         self.memo_lock_acquisitions += from.memo_lock_acquisitions;
         self.memo_lock_contended += from.memo_lock_contended;
-        // AST sizes describe the outermost definition; sub-runs' values are
-        // superseded when the enclosing `SynthesizedDefinition::new` runs.
+        // AST sizes describe the outermost definition; product components'
+        // values are superseded when the enclosing `SynthesizedDefinition::new`
+        // runs.
         self.per_goal.extend(from.per_goal);
     }
 
@@ -294,8 +279,8 @@ fn ratio(hits: u64, misses: u64) -> f64 {
 }
 
 /// Cached handles into the global [`nrs_obs`] registry.  Goal-level counters
-/// are bumped in [`record_stats`] (once per actually-proved goal, so merged
-/// sub-run reports are not double counted); run-level counters in
+/// are bumped in [`record_stats`] (once per unique goal of a batch, so
+/// merged component reports are not double counted); run-level counters in
 /// [`synthesize_with`].
 struct ObsMetrics {
     runs: std::sync::Arc<nrs_obs::Counter>,
@@ -406,10 +391,12 @@ impl SynthesizedDefinition {
 /// Synthesize an explicit NRC definition from an implicit Δ0 specification
 /// (Theorem 2).
 ///
-/// All proof goals of the run — the determinacy check, the per-depth
-/// parameter-collection goals, the interpolation goals, and every goal of the
-/// recursive product/set cases — share one [`ProverSession`], so the failure
-/// memo built while proving one goal prunes the searches of the others.
+/// The spec runs as a one-entry [`Workload`]: every proof goal of the run —
+/// the determinacy check, the per-depth parameter-collection goals, the
+/// interpolation goals, and the goals of each product component — is
+/// planned into one batch and proved through one [`ProverSession`], so the
+/// failure memo built while proving one goal prunes the searches of the
+/// others.
 ///
 /// This is a thin wrapper over the session-owning
 /// [`Synthesizer`](crate::Synthesizer) facade — prefer the builder when
@@ -422,8 +409,8 @@ pub fn synthesize(
     crate::Synthesizer::with_config(cfg.clone()).synthesize(spec)
 }
 
-/// [`synthesize`] against a caller-provided prover session (reused across the
-/// recursive cases, and reusable across several related synthesis runs).
+/// [`synthesize`] against a caller-provided prover session (reusable across
+/// several related synthesis runs).
 ///
 /// [`Synthesizer::with_session`](crate::Synthesizer::with_session) wraps this
 /// behind a facade that owns the session for you.
@@ -433,13 +420,19 @@ pub fn synthesize_with(
     session: &ProverSession,
 ) -> Result<SynthesizedDefinition, SynthesisError> {
     // Run-level observability: one span + one `synth.run_seconds` sample per
-    // run, recursive product sub-runs included (they call back in here).
+    // call.
     nrs_obs::init_from_env();
     let mut run_span = nrs_obs::span("synth.run");
     let run_start = std::time::Instant::now();
     let m = obs();
     m.runs.inc();
-    let result = synthesize_with_inner(spec, cfg, session);
+    let workload = Workload::new().with_entry(spec.output.0, spec.clone());
+    let result = synthesize_workload_with(&workload, cfg, session).map(|mut w| {
+        w.definitions
+            .pop()
+            .expect("a one-entry workload has one definition")
+            .1
+    });
     m.run_seconds.record_duration(run_start.elapsed());
     match &result {
         Ok(def) => {
@@ -453,131 +446,52 @@ pub fn synthesize_with(
     result
 }
 
-fn synthesize_with_inner(
-    spec: &ImplicitSpec,
-    cfg: &SynthesisConfig,
-    session: &ProverSession,
-) -> Result<SynthesizedDefinition, SynthesisError> {
-    let mut report = SynthesisReport::default();
-    let mut gen = NameGen::avoiding(
-        spec.formula
-            .free_vars()
-            .iter()
-            .chain(spec.inputs.iter().map(|(n, _)| n))
-            .chain(std::iter::once(&spec.output.0)),
-    );
-    let (phi_primed, primed_out, primed_aux) = spec.primed();
-    let mut env = spec.env();
-    env.insert(primed_out, spec.output.1.clone());
-    for (n, t) in &primed_aux {
-        env.insert(*n, t.clone());
-    }
-
-    if cfg.check_determinacy {
-        let goal = d0::equiv(
-            &spec.output.1,
-            &Term::Var(spec.output.0),
-            &Term::Var(primed_out),
-            &mut gen,
-        );
-        let seq = Sequent::two_sided(
-            InContext::new(),
-            [spec.formula.clone(), phi_primed.clone()],
-            [goal],
-        );
-        prove_goal(
-            &seq,
-            session,
-            cfg,
-            "the determinacy of the output",
-            &mut report,
-        )?;
-        report
-            .notes
-            .push("determinacy established by proof search".into());
-    }
-
-    let ctx = Ctx {
-        phi: spec.formula.clone(),
-        phi_primed,
-        primed_out,
-        inputs: spec.inputs.clone(),
-        cfg: cfg.clone(),
-        session: session.clone(),
-    };
-    let expr = synth_output(
-        &ctx,
-        &spec.output.0,
-        &spec.output.1,
-        &env,
-        &mut gen,
-        &mut report,
-    )?;
-    Ok(SynthesizedDefinition::new(expr, spec.clone(), report))
+/// Immutable data threaded through the type-directed recursion of one spec.
+struct Ctx {
+    phi: Formula,
+    phi_primed: Formula,
+    primed_out: Name,
+    inputs: Vec<(Name, Type)>,
 }
 
-/// Immutable data threaded through the type-directed recursion.
-pub(crate) struct Ctx {
-    pub(crate) phi: Formula,
-    pub(crate) phi_primed: Formula,
-    pub(crate) primed_out: Name,
-    pub(crate) inputs: Vec<(Name, Type)>,
-    pub(crate) cfg: SynthesisConfig,
-    pub(crate) session: ProverSession,
-}
-
-/// The proof goals of one batched proving pass, in generation order.
+/// The proof goals of one synthesis pass, in generation order.
 ///
-/// In the single-spec pipeline every recorded goal is distinct by
-/// construction, so the plain [`push`](GoalBatch::push) suffices.  The
-/// workload pipeline ([`crate::workload`]) records the goals of *many* specs
-/// into one batch and uses the [`deduping`](GoalBatch::deduping) variant:
-/// structurally identical sequents (hash-consed formulas make the comparison
+/// Structurally identical sequents (hash-consed formulas make the comparison
 /// cheap) collapse onto one batch slot, so a proof obligation shared across
-/// specs is dispatched to the prover exactly once.
+/// specs — or repeated within one, as a Ur component's determinacy goal is
+/// its interpolation goal — is dispatched to the prover exactly once.
 #[derive(Debug, Default)]
-pub(crate) struct GoalBatch {
-    pub(crate) seqs: Vec<Sequent>,
-    pub(crate) purposes: Vec<String>,
-    /// `Some` in deduping mode: sequent → index of its first occurrence.
-    index: Option<std::collections::HashMap<Sequent, usize>>,
-    /// Goals collapsed onto an earlier identical one (deduping mode only).
-    pub(crate) dedup_hits: usize,
+struct GoalBatch {
+    seqs: Vec<Sequent>,
+    purposes: Vec<String>,
+    /// Sequent → index of its first occurrence.
+    index: std::collections::HashMap<Sequent, usize>,
+    /// Goals collapsed onto an earlier identical one.
+    dedup_hits: usize,
 }
 
 impl GoalBatch {
-    /// A batch that collapses structurally identical sequents onto one slot.
-    pub(crate) fn deduping() -> GoalBatch {
-        GoalBatch {
-            index: Some(std::collections::HashMap::new()),
-            ..GoalBatch::default()
-        }
-    }
-
     /// Record a goal; returns its index into the batch (and into the proof
-    /// vector the batched prover call produces).  In deduping mode an
-    /// already-recorded sequent returns the index of its first occurrence.
-    pub(crate) fn push(&mut self, seq: Sequent, purpose: String) -> usize {
-        if let Some(index) = &mut self.index {
-            if let Some(&i) = index.get(&seq) {
-                self.dedup_hits += 1;
-                return i;
-            }
-            index.insert(seq.clone(), self.seqs.len());
+    /// vector the batched prover call produces).  An already-recorded
+    /// sequent returns the index of its first occurrence.
+    fn push(&mut self, seq: Sequent, purpose: String) -> usize {
+        if let Some(&i) = self.index.get(&seq) {
+            self.dedup_hits += 1;
+            return i;
         }
+        self.index.insert(seq.clone(), self.seqs.len());
         self.seqs.push(seq);
         self.purposes.push(purpose);
         self.seqs.len() - 1
     }
 }
 
-/// The pre-walked shape of the Theorem 10 recursion (batched mode): the same
-/// type-directed case analysis as [`collect_answers`], with each set-case
-/// goal *recorded* into a [`GoalBatch`] instead of proven on the spot.  After
-/// one batched prover call resolves every goal, [`assemble_collect`] replays
-/// the recursion bottom-up over the proofs.
+/// The pre-walked shape of the Theorem 10 recursion: the type-directed case
+/// analysis with each set-case goal *recorded* into a [`GoalBatch`].  After
+/// one batched prover call resolves every goal, [`assemble_collect`]
+/// replays the recursion bottom-up over the proofs.
 #[derive(Debug)]
-pub(crate) enum CollectPlan {
+enum CollectPlan {
     Unit,
     Ur,
     Prod(Box<CollectPlan>, Box<CollectPlan>),
@@ -594,10 +508,88 @@ pub(crate) enum CollectPlan {
     },
 }
 
-pub(crate) fn record_stats(
+/// The pre-walked shape of one spec's output: everything the assembly phase
+/// needs besides the proofs.
+enum OutputShape {
+    /// Unit output: the definition is `()` — no goals.
+    Unit,
+    /// Ur output: one interpolation goal at `goal_idx`.
+    Ur { goal_idx: usize },
+    /// Set output: the Theorem 10 plan plus the membership goal.
+    Set {
+        r: Name,
+        elem_ty: Type,
+        ctx_atoms: Vec<MemAtom>,
+        env_r: TypeEnv,
+        plan: CollectPlan,
+        mem_idx: usize,
+    },
+    /// Product output `o = ⟨o1, o2⟩`: the component specs `φ(ī, ā, ⟨o1, o2⟩)`
+    /// with output `o1` (resp. `o2`) and the sibling as an auxiliary, each
+    /// planned into the same batch.
+    Prod(Box<SpecPlan>, Box<SpecPlan>),
+}
+
+/// One planned spec — a workload entry or a product component — carried
+/// from the plan phase to the assembly phase.
+struct SpecPlan {
+    spec: ImplicitSpec,
+    ctx: Ctx,
+    gen: NameGen,
+    env: TypeEnv,
+    shape: OutputShape,
+    /// Goal indices this spec recorded *first* (its exclusive share of the
+    /// batch); stats of deduplicated goals are attributed to their first
+    /// owner, so summing reports never double counts.
+    first_recorded: Vec<usize>,
+    report: SynthesisReport,
+}
+
+/// The definitions of one batched synthesis pass over several named specs.
+pub(crate) struct BatchSynthesis {
+    /// Per-spec definitions, in input order.
+    pub(crate) definitions: Vec<(Name, SynthesizedDefinition)>,
+    /// Goals recorded across all specs *before* deduplication.
+    pub(crate) goals_recorded: usize,
+    /// Goals that collapsed onto an identical earlier goal.
+    pub(crate) dedup_hits: usize,
+}
+
+/// Synthesize several named specs in one pass: every goal of every spec is
+/// planned into one deduplicating [`GoalBatch`], the batch is proved by a
+/// single [`prove_goal_batch`] call, and each spec is then assembled from
+/// the shared proofs.
+pub(crate) fn synthesize_batch(
+    entries: &[(Name, ImplicitSpec)],
+    cfg: &SynthesisConfig,
+    session: &ProverSession,
+) -> Result<BatchSynthesis, SynthesisError> {
+    let mut batch = GoalBatch::default();
+    let plan_span = nrs_obs::span("synth.workload.plan");
+    let plans = entries
+        .iter()
+        .map(|(name, spec)| Ok((*name, plan_spec(*name, spec, cfg, &mut batch)?)))
+        .collect::<Result<Vec<_>, SynthesisError>>()?;
+    drop(plan_span);
+
+    let proved = prove_goal_batch(&batch, session, cfg)?;
+
+    let _assemble_span = nrs_obs::span("synth.workload.assemble").with("proofs", proved.len());
+    let definitions = plans
+        .into_iter()
+        .map(|(name, plan)| Ok((name, assemble_spec(plan, &batch, &proved)?)))
+        .collect::<Result<Vec<_>, SynthesisError>>()?;
+    Ok(BatchSynthesis {
+        definitions,
+        goals_recorded: batch.seqs.len() + batch.dedup_hits,
+        dedup_hits: batch.dedup_hits,
+    })
+}
+
+fn record_stats(
     purpose: &str,
     proof_size: usize,
-    stats: &nrs_prover::ProverStats,
+    stats: &ProverStats,
     report: &mut SynthesisReport,
 ) {
     report.goals_proved += 1;
@@ -623,14 +615,16 @@ pub(crate) fn record_stats(
 
 /// Prove every goal of `batch` — through one [`ProverSession::prove_batch`]
 /// dispatch in the shared mode, or goal-by-goal with cold provers in the
-/// oracle mode — and unwrap the proofs in batch order.
-pub(crate) fn prove_goal_batch(
+/// oracle mode — and unwrap the outcomes in batch order.  Both modes prove
+/// under the *session's* budgets (callers may pass a session configured
+/// differently from `cfg.prover`), so flipping `share_prover_session`
+/// changes only the caching, never the search envelope.
+fn prove_goal_batch(
     batch: &GoalBatch,
     session: &ProverSession,
     cfg: &SynthesisConfig,
-    report: &mut SynthesisReport,
-) -> Result<Vec<nrs_proof::Proof>, SynthesisError> {
-    let _span = nrs_obs::span("synth.prove_batch").with("goals", batch.seqs.len());
+) -> Result<Vec<(Proof, ProverStats)>, SynthesisError> {
+    let _span = nrs_obs::span("synth.workload.prove_batch").with("goals", batch.seqs.len());
     let outcomes = if cfg.share_prover_session {
         session.prove_batch(&batch.seqs)
     } else {
@@ -640,232 +634,271 @@ pub(crate) fn prove_goal_batch(
             .map(|s| prove_sequent(s, session.config()))
             .collect()
     };
-    let mut proofs = Vec::with_capacity(outcomes.len());
-    for (outcome, purpose) in outcomes.into_iter().zip(&batch.purposes) {
-        match outcome {
-            Ok((proof, stats)) => {
-                record_stats(purpose, proof.size(), &stats, report);
-                proofs.push(proof);
-            }
-            Err(error) => {
-                return Err(SynthesisError::ProofNotFound {
-                    purpose: purpose.clone(),
-                    error,
-                })
-            }
-        }
-    }
-    Ok(proofs)
+    outcomes
+        .into_iter()
+        .zip(&batch.purposes)
+        .map(|(outcome, purpose)| {
+            outcome.map_err(|error| SynthesisError::ProofNotFound {
+                purpose: purpose.clone(),
+                error,
+            })
+        })
+        .collect()
 }
 
-pub(crate) fn prove_goal(
-    seq: &Sequent,
-    session: &ProverSession,
-    cfg: &SynthesisConfig,
-    purpose: &str,
+/// Record a goal of the spec being planned: a new batch slot joins the
+/// spec's first-recorded goals, a deduplicated one leaves a note.
+fn record_goal(
+    batch: &mut GoalBatch,
+    first_recorded: &mut Vec<usize>,
     report: &mut SynthesisReport,
-) -> Result<nrs_proof::Proof, SynthesisError> {
-    let _span = nrs_obs::span("synth.goal").with("purpose", purpose);
-    // Both modes prove under the *session's* budgets, so flipping
-    // `share_prover_session` changes only the memo caching — never the
-    // search envelope (callers of `synthesize_with` may pass a session
-    // configured differently from `cfg.prover`).
-    let outcome = if cfg.share_prover_session {
-        session.prove_sequent(seq)
+    seq: Sequent,
+    purpose: String,
+) -> usize {
+    let before = batch.seqs.len();
+    let idx = batch.push(seq, purpose);
+    if batch.seqs.len() > before {
+        first_recorded.push(idx);
     } else {
-        prove_sequent(seq, session.config())
-    };
-    match outcome {
-        Ok((proof, stats)) => {
-            record_stats(purpose, proof.size(), &stats, report);
-            Ok(proof)
-        }
-        Err(error) => Err(SynthesisError::ProofNotFound {
-            purpose: purpose.to_string(),
-            error,
-        }),
+        report.notes.push(DEDUP_NOTE.into());
     }
+    idx
 }
 
-/// The Theorem 2 case analysis on the output type.
-fn synth_output(
-    ctx: &Ctx,
-    output: &Name,
-    out_ty: &Type,
-    env: &TypeEnv,
-    gen: &mut NameGen,
-    report: &mut SynthesisReport,
-) -> Result<Expr, SynthesisError> {
-    match out_ty {
+const DEDUP_NOTE: &str = "goal shared with an earlier goal of the batch (deduplicated)";
+
+/// The plan phase of one spec: the Theorem 2 case analysis on the output
+/// type, recording every goal into `batch` instead of proving it.  `entry`
+/// names the workload entry in the goal purposes.
+fn plan_spec(
+    entry: Name,
+    spec: &ImplicitSpec,
+    cfg: &SynthesisConfig,
+    batch: &mut GoalBatch,
+) -> Result<SpecPlan, SynthesisError> {
+    let mut report = SynthesisReport::default();
+    let mut first_recorded = Vec::new();
+    let mut gen = NameGen::avoiding(
+        spec.formula
+            .free_vars()
+            .iter()
+            .chain(spec.inputs.iter().map(|(n, _)| n))
+            .chain(std::iter::once(&spec.output.0)),
+    );
+    let (phi_primed, primed_out, primed_aux) = spec.primed();
+    let mut env = spec.env();
+    env.insert(primed_out, spec.output.1.clone());
+    for (n, t) in &primed_aux {
+        env.insert(*n, t.clone());
+    }
+    let ctx = Ctx {
+        phi: spec.formula.clone(),
+        phi_primed,
+        primed_out,
+        inputs: spec.inputs.clone(),
+    };
+
+    if cfg.check_determinacy {
+        let goal = d0::equiv(
+            &spec.output.1,
+            &Term::Var(spec.output.0),
+            &Term::Var(primed_out),
+            &mut gen,
+        );
+        let seq = Sequent::two_sided(
+            InContext::new(),
+            [ctx.phi.clone(), ctx.phi_primed.clone()],
+            [goal],
+        );
+        record_goal(
+            batch,
+            &mut first_recorded,
+            &mut report,
+            seq,
+            format!("the determinacy of the output (entry {entry})"),
+        );
+        report
+            .notes
+            .push("determinacy established by proof search".into());
+    }
+
+    let shape = match &spec.output.1 {
         Type::Unit => {
             report
                 .notes
                 .push("output has type Unit: the definition is ()".into());
-            Ok(Expr::Unit)
+            OutputShape::Unit
         }
         Type::Ur => {
             // κ(ī, o) via interpolation of  φ ⊢ φ' → o = o'
-            let goal = Formula::eq_ur(Term::Var(*output), Term::Var(ctx.primed_out));
+            let goal = Formula::eq_ur(Term::Var(spec.output.0), Term::Var(primed_out));
             let seq = Sequent::two_sided(
                 InContext::new(),
                 [ctx.phi.clone(), ctx.phi_primed.clone()],
-                [goal.clone()],
+                [goal],
             );
-            let proof = prove_goal(
-                &seq,
-                &ctx.session,
-                &ctx.cfg,
-                "the Ur-output interpolation goal",
-                report,
+            let goal_idx = record_goal(
+                batch,
+                &mut first_recorded,
+                &mut report,
+                seq,
+                format!("the Ur-output interpolation goal (entry {entry})"),
+            );
+            OutputShape::Ur { goal_idx }
+        }
+        Type::Set(elem_ty) => {
+            // Theorem 10: a superset expression for the members of the
+            // output…
+            let r = gen.fresh("r");
+            let ctx_atoms = vec![MemAtom::new(Term::Var(r), Term::Var(spec.output.0))];
+            let mut env_r = env.clone();
+            env_r.insert(r, (**elem_ty).clone());
+            let before = batch.seqs.len();
+            let dedup_before = batch.dedup_hits;
+            let plan = plan_collect(
+                &ctx,
+                &ctx_atoms,
+                &Term::Var(r),
+                elem_ty,
+                1,
+                &env_r,
+                &mut gen,
+                batch,
             )?;
-            let partition = Partition::with_left([], [ctx.phi.negate()]);
-            let kappa = interpolate(&proof, &partition)?;
-            report.notes.push(format!("Ur-output interpolant: {kappa}"));
-            // E := get_𝔘({ o ∈ atoms(ī) | κ })
-            let atoms = nrc_macros::atoms_of_inputs(&ctx.inputs, gen);
-            let filtered = compile::comprehension(*output, atoms, &Type::Ur, &kappa, env, gen)?;
-            Ok(Expr::get(Type::Ur, filtered))
+            first_recorded.extend(before..batch.seqs.len());
+            for _ in dedup_before..batch.dedup_hits {
+                report.notes.push(DEDUP_NOTE.into());
+            }
+            // …and the interpolant κ(ī, r) of  ∃ r' ∈ o' . r ≡ r'  that
+            // filters it down to exactly o
+            let rp = gen.fresh("rp");
+            let goal = Formula::exists(
+                rp,
+                Term::Var(primed_out),
+                d0::equiv(elem_ty, &Term::Var(r), &Term::Var(rp), &mut gen),
+            );
+            let seq = Sequent::two_sided(
+                InContext::from_atoms(ctx_atoms.clone()),
+                [ctx.phi.clone(), ctx.phi_primed.clone()],
+                [goal],
+            );
+            let mem_idx = record_goal(
+                batch,
+                &mut first_recorded,
+                &mut report,
+                seq,
+                format!("the membership interpolation goal (entry {entry})"),
+            );
+            OutputShape::Set {
+                r,
+                elem_ty: (**elem_ty).clone(),
+                ctx_atoms,
+                env_r,
+                plan,
+                mem_idx,
+            }
         }
         Type::Prod(t1, t2) => {
-            // φ̃(ī, ā, o1, o2) := φ(ī, ā, ⟨o1, o2⟩), then synthesize each component
+            // φ̃(ī, ā, o1, o2) := φ(ī, ā, ⟨o1, o2⟩); each component is a spec
+            // of its own, with the sibling component as an auxiliary
+            let output = spec.output.0;
             let o1 = gen.fresh(&format!("{output}_1"));
             let o2 = gen.fresh(&format!("{output}_2"));
             let pair = Term::pair(Term::Var(o1), Term::Var(o2));
-            let phi1 = ctx.phi.subst_var(output, &pair).beta_normalize();
-            let spec1 = ImplicitSpec {
+            let phi1 = ctx.phi.subst_var(&output, &pair).beta_normalize();
+            let component = |out: Name, ty: &Type, sibling: Name, sibling_ty: &Type| ImplicitSpec {
                 formula: phi1.clone(),
-                inputs: ctx.inputs.clone(),
-                auxiliaries: collect_aux(&phi1, &ctx.inputs, &o1, env, &o2, (**t2).clone()),
-                output: (o1, (**t1).clone()),
+                inputs: spec.inputs.clone(),
+                auxiliaries: collect_aux(&phi1, &spec.inputs, &out, &env, &sibling, sibling_ty),
+                output: (out, ty.clone()),
             };
-            let spec2 = ImplicitSpec {
-                formula: phi1.clone(),
-                inputs: ctx.inputs.clone(),
-                auxiliaries: collect_aux(&phi1, &ctx.inputs, &o2, env, &o1, (**t1).clone()),
-                output: (o2, (**t2).clone()),
-            };
+            let spec1 = component(o1, t1, o2, t2);
+            let spec2 = component(o2, t2, o1, t1);
             report
                 .notes
                 .push("product output: synthesizing the two components".into());
-            // The components are independent sub-goals over the same session;
-            // when configured, they run on separate (scoped) threads.
-            let (d1, d2) = if ctx.cfg.parallel_goals {
-                std::thread::scope(|scope| {
-                    let handle = scope.spawn(|| synthesize_with(&spec1, &ctx.cfg, &ctx.session));
-                    let d2 = synthesize_with(&spec2, &ctx.cfg, &ctx.session);
-                    let d1 = handle.join().unwrap_or_else(|_| {
-                        Err(SynthesisError::Ill(
-                            "component synthesis thread panicked".into(),
-                        ))
-                    });
-                    (d1, d2)
-                })
-            } else {
-                (
-                    synthesize_with(&spec1, &ctx.cfg, &ctx.session),
-                    synthesize_with(&spec2, &ctx.cfg, &ctx.session),
-                )
-            };
-            let (d1, d2) = (d1?, d2?);
-            merge_report(report, d1.report);
-            merge_report(report, d2.report);
-            Ok(Expr::pair(d1.expr, d2.expr))
+            let p1 = plan_spec(entry, &spec1, cfg, batch)?;
+            let p2 = plan_spec(entry, &spec2, cfg, batch)?;
+            OutputShape::Prod(Box::new(p1), Box::new(p2))
         }
-        Type::Set(elem_ty) => {
-            // Theorem 10: a superset expression for the members of the output…
-            let r = gen.fresh("r");
-            let ctx_atoms = vec![MemAtom::new(Term::Var(r), Term::Var(*output))];
-            let mut env_r = env.clone();
-            env_r.insert(r, (**elem_ty).clone());
-            // …and the interpolant κ(ī, r) that filters it down to exactly o.
-            let membership_goal = |gen: &mut NameGen| {
-                // ∃ r' ∈ o' . r ≡ r'  (fresh bound variable)
-                let rp = gen.fresh("rp");
-                let goal = Formula::exists(
-                    rp,
-                    Term::Var(ctx.primed_out),
-                    d0::equiv(elem_ty, &Term::Var(r), &Term::Var(rp), gen),
-                );
-                Sequent::two_sided(
-                    InContext::from_atoms(ctx_atoms.clone()),
-                    [ctx.phi.clone(), ctx.phi_primed.clone()],
-                    [goal],
-                )
-            };
-            let (superset, mem_proof) = if ctx.cfg.batch_goals {
-                // Batched mode: pre-walk the Theorem 10 recursion recording
-                // every per-depth goal, append the membership goal, resolve
-                // them all in ONE prover call (shared saturation prefix),
-                // then assemble the superset bottom-up over the proofs.
-                let mut batch = GoalBatch::default();
-                let collect_span = nrs_obs::span("synth.collect").with("mode", "batched");
-                let plan = plan_collect(
-                    ctx,
-                    &ctx_atoms,
-                    &Term::Var(r),
-                    elem_ty,
-                    1,
-                    &env_r,
-                    gen,
-                    &mut batch,
-                )?;
-                drop(collect_span);
-                let mem_idx = batch.push(
-                    membership_goal(gen),
-                    "the membership interpolation goal".into(),
-                );
-                report.notes.push(format!(
-                    "batched {} goals into one prover call",
-                    batch.seqs.len()
-                ));
-                let mut proofs = prove_goal_batch(&batch, &ctx.session, &ctx.cfg, report)?;
-                let mem_proof = proofs.swap_remove(mem_idx);
-                let assemble_span = nrs_obs::span("synth.assemble").with("proofs", proofs.len());
-                let superset = assemble_collect(ctx, &plan, &proofs, gen, report)?;
-                drop(assemble_span);
-                (superset, mem_proof)
-            } else {
-                // Sequential oracle: prove each goal as the recursion
-                // reaches it.
-                let collect_span = nrs_obs::span("synth.collect").with("mode", "sequential");
-                let superset = collect_answers(
-                    ctx,
-                    &ctx_atoms,
-                    &Term::Var(r),
-                    elem_ty,
-                    1,
-                    &env_r,
-                    gen,
-                    report,
-                )?;
-                drop(collect_span);
-                let seq = membership_goal(gen);
-                let proof = prove_goal(
-                    &seq,
-                    &ctx.session,
-                    &ctx.cfg,
-                    "the membership interpolation goal",
-                    report,
-                )?;
-                (superset, proof)
-            };
+    };
+    Ok(SpecPlan {
+        spec: spec.clone(),
+        ctx,
+        gen,
+        env,
+        shape,
+        first_recorded,
+        report,
+    })
+}
+
+/// The assembly phase of one spec: attribute its first-recorded goals'
+/// stats, then replay the plan over the batch's proofs.
+fn assemble_spec(
+    plan: SpecPlan,
+    batch: &GoalBatch,
+    proved: &[(Proof, ProverStats)],
+) -> Result<SynthesizedDefinition, SynthesisError> {
+    let SpecPlan {
+        spec,
+        ctx,
+        mut gen,
+        env,
+        shape,
+        first_recorded,
+        mut report,
+    } = plan;
+    for &idx in &first_recorded {
+        let (proof, stats) = &proved[idx];
+        record_stats(&batch.purposes[idx], proof.size(), stats, &mut report);
+    }
+    let expr = match shape {
+        OutputShape::Unit => Expr::Unit,
+        OutputShape::Ur { goal_idx } => {
+            let partition = Partition::with_left([], [ctx.phi.negate()]);
+            let kappa = interpolate(&proved[goal_idx].0, &partition)?;
+            report.notes.push(format!("Ur-output interpolant: {kappa}"));
+            // E := get_𝔘({ o ∈ atoms(ī) | κ })
+            let atoms = nrc_macros::atoms_of_inputs(&ctx.inputs, &mut gen);
+            let filtered =
+                compile::comprehension(spec.output.0, atoms, &Type::Ur, &kappa, &env, &mut gen)?;
+            Expr::get(Type::Ur, filtered)
+        }
+        OutputShape::Set {
+            r,
+            elem_ty,
+            ctx_atoms,
+            env_r,
+            plan,
+            mem_idx,
+        } => {
+            let superset = assemble_collect(&ctx, &plan, proved, &mut gen, &mut report)?;
             let partition = Partition::with_left(ctx_atoms.iter().cloned(), [ctx.phi.negate()]);
-            let kappa = interpolate(&mem_proof, &partition)?;
+            let kappa = interpolate(&proved[mem_idx].0, &partition)?;
             report
                 .notes
                 .push(format!("membership interpolant: {kappa}"));
-            let filtered = compile::comprehension(r, superset, elem_ty, &kappa, &env_r, gen)?;
-            Ok(filtered)
+            compile::comprehension(r, superset, &elem_ty, &kappa, &env_r, &mut gen)?
         }
-    }
+        OutputShape::Prod(p1, p2) => {
+            let d1 = assemble_spec(*p1, batch, proved)?;
+            let d2 = assemble_spec(*p2, batch, proved)?;
+            merge_report(&mut report, d1.report);
+            merge_report(&mut report, d2.report);
+            Expr::pair(d1.expr, d2.expr)
+        }
+    };
+    Ok(SynthesizedDefinition::new(expr, spec, report))
 }
 
-/// The plan phase of the batched Theorem 10 recursion: the same case
-/// analysis as [`collect_answers`], recording each set-case goal into the
-/// batch instead of proving it.  Returns the plan tree that
-/// [`assemble_collect`] later replays over the batch's proofs.
+/// The plan phase of the Theorem 10 recursion: an NRC expression over the
+/// inputs that contains the value of `subject` (a term denoting a piece of
+/// the output) as a member, in every model of the specification pair.  Each
+/// set-case goal is recorded into the batch; [`assemble_collect`] later
+/// replays the returned plan tree over the batch's proofs.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_collect(
+fn plan_collect(
     ctx: &Ctx,
     ctx_atoms: &[MemAtom],
     subject: &Term,
@@ -958,13 +991,13 @@ pub(crate) fn plan_collect(
     }
 }
 
-/// The assembly phase of the batched Theorem 10 recursion: replay the plan
+/// The assembly phase of the Theorem 10 recursion: replay the plan
 /// bottom-up, running the Lemma 9 extraction over each set-case proof and
 /// instantiating the common parameter with the member superset.
-pub(crate) fn assemble_collect(
+fn assemble_collect(
     ctx: &Ctx,
     plan: &CollectPlan,
-    proofs: &[nrs_proof::Proof],
+    proofs: &[(Proof, ProverStats)],
     gen: &mut NameGen,
     report: &mut SynthesisReport,
 ) -> Result<Expr, SynthesisError> {
@@ -983,7 +1016,7 @@ pub(crate) fn assemble_collect(
             input,
         } => {
             let member_superset = assemble_collect(ctx, member, proofs, gen, report)?;
-            let collected = collect_parameters(&proofs[*goal_idx], input, gen)?;
+            let collected = collect_parameters(&proofs[*goal_idx].0, input, gen)?;
             report.notes.push(format!(
                 "parameter collection at depth {depth}: θ = {}",
                 collected.theta
@@ -1003,7 +1036,7 @@ fn collect_aux(
     output: &Name,
     env: &TypeEnv,
     sibling: &Name,
-    sibling_ty: Type,
+    sibling_ty: &Type,
 ) -> Vec<(Name, Type)> {
     let mut out = Vec::new();
     for v in phi.free_vars() {
@@ -1025,107 +1058,6 @@ pub(crate) fn merge_report(into: &mut SynthesisReport, from: SynthesisReport) {
     into.proof_sizes.extend(from.proof_sizes);
     into.notes.extend(from.notes);
     into.metrics.merge(from.metrics);
-}
-
-/// Theorem 10: an NRC expression over the inputs that is guaranteed to contain
-/// the value of `subject` (a term denoting a piece of the output) as a member,
-/// in every model of the specification pair.
-#[allow(clippy::too_many_arguments)]
-fn collect_answers(
-    ctx: &Ctx,
-    ctx_atoms: &[MemAtom],
-    subject: &Term,
-    subject_ty: &Type,
-    depth: usize,
-    env: &TypeEnv,
-    gen: &mut NameGen,
-    report: &mut SynthesisReport,
-) -> Result<Expr, SynthesisError> {
-    match subject_ty {
-        Type::Unit => Ok(Expr::singleton(Expr::Unit)),
-        Type::Ur => Ok(nrc_macros::atoms_of_inputs(&ctx.inputs, gen)),
-        Type::Prod(t1, t2) => {
-            let e1 = collect_answers(
-                ctx,
-                ctx_atoms,
-                &Term::proj1(subject.clone()).beta_normalize(),
-                t1,
-                depth,
-                env,
-                gen,
-                report,
-            )?;
-            let e2 = collect_answers(
-                ctx,
-                ctx_atoms,
-                &Term::proj2(subject.clone()).beta_normalize(),
-                t2,
-                depth,
-                env,
-                gen,
-                report,
-            )?;
-            Ok(nrc_macros::product(e1, e2, gen))
-        }
-        Type::Set(inner) => {
-            // (a) superset of the members, one level down (the Lemma 6 step)
-            let z = gen.fresh("z");
-            let mut deeper_atoms = ctx_atoms.to_vec();
-            deeper_atoms.push(MemAtom::new(Term::Var(z), subject.clone()));
-            let mut env_z = env.clone();
-            env_z.insert(z, (**inner).clone());
-            let member_superset = collect_answers(
-                ctx,
-                &deeper_atoms,
-                &Term::Var(z),
-                inner,
-                depth + 1,
-                &env_z,
-                gen,
-                report,
-            )?;
-
-            // (b) the parameter-collection goal (the Lemma 7 step):
-            //     ∃y ∈^p o' . ∀w ∈ a . (w ∈̂ subject ↔ w ∈̂ y)
-            let a = gen.fresh("a");
-            let mut env_a = env.clone();
-            env_a.insert(a, subject_ty.clone());
-            let w = gen.fresh("w");
-            let y = gen.fresh("y");
-            let lam = d0::member_hat(inner, &Term::Var(w), subject, gen);
-            let rho = d0::member_hat(inner, &Term::Var(w), &Term::Var(y), gen);
-            let body = Formula::forall(w, Term::Var(a), d0::iff(lam.clone(), rho.clone()));
-            let path = nrs_value::SubtypePath(vec![nrs_value::SubtypeStep::Member; depth]);
-            let goal = d0::exists_path(&y, &path, &Term::Var(ctx.primed_out), body, gen);
-            let seq = Sequent::two_sided(
-                InContext::from_atoms(ctx_atoms.iter().cloned()),
-                [ctx.phi.clone(), ctx.phi_primed.clone()],
-                [goal.clone()],
-            );
-            let proof = prove_goal(
-                &seq,
-                &ctx.session,
-                &ctx.cfg,
-                &format!("the parameter-collection goal at nesting depth {depth}"),
-                report,
-            )?;
-            let partition = Partition::with_left(ctx_atoms.iter().cloned(), [ctx.phi.negate()]);
-            let input = CollectInput {
-                goal,
-                c: a,
-                elem_ty: (**inner).clone(),
-                partition,
-                env: env_a.clone(),
-            };
-            let collected = collect_parameters(&proof, &input, gen)?;
-            report.notes.push(format!(
-                "parameter collection at depth {depth}: θ = {}",
-                collected.theta
-            ));
-            // (c) instantiate the common parameter a with the member superset
-            Ok(collected.expr.subst(&a, &member_superset))
-        }
-    }
 }
 
 #[cfg(test)]

@@ -114,21 +114,9 @@ impl Synthesizer {
         self
     }
 
-    /// Synthesize product components on separate threads.
-    pub fn parallel_goals(mut self, yes: bool) -> Synthesizer {
-        self.cfg.parallel_goals = yes;
-        self
-    }
-
     /// Prove through the shared session (default) or a cold prover per goal.
     pub fn share_prover_session(mut self, yes: bool) -> Synthesizer {
         self.cfg.share_prover_session = yes;
-        self
-    }
-
-    /// Batch the per-depth goals into single prover dispatches.
-    pub fn batch_goals(mut self, yes: bool) -> Synthesizer {
-        self.cfg.batch_goals = yes;
         self
     }
 
@@ -149,7 +137,8 @@ impl Synthesizer {
             .get_or_init(|| FolSession::new(FoProverConfig::default()))
     }
 
-    /// Synthesize one implicit spec (Theorem 2) through the warm session.
+    /// Synthesize one implicit spec (Theorem 2) through the warm session, as
+    /// a one-entry [`Workload`].
     pub fn synthesize(&self, spec: &ImplicitSpec) -> Result<SynthesizedDefinition, SynthesisError> {
         synthesize_with(spec, &self.cfg, &self.session)
     }

@@ -8,14 +8,14 @@
 //! such a batch (the shape of cozy's `synthesize_queries`):
 //!
 //! 1. **One proving pass.**  [`synthesize_workload_with`] pre-walks every
-//!    entry's Theorem-10 recursion (`plan_collect`) into one
-//!    `GoalBatch` in **deduping** mode: structurally identical sequents —
-//!    cheap to detect, the formulas are hash-consed — collapse onto a
-//!    single batch slot, so a proof obligation shared by several specs is
-//!    dispatched to [`ProverSession::prove_batch`] exactly once.  Goals
-//!    that are *similar* but not identical still prune each other through
-//!    the session's failure memo, goal-outcome cache and specialization
-//!    cache.  The collapse count is reported as
+//!    entry's Theorem-10 recursion into one deduplicating goal batch:
+//!    structurally identical sequents — cheap to detect, the formulas are
+//!    hash-consed — collapse onto a single batch slot, so a proof
+//!    obligation shared by several specs is dispatched to
+//!    [`ProverSession::prove_batch`] exactly once.  Goals that are
+//!    *similar* but not identical still prune each other through the
+//!    session's failure memo, goal-outcome cache and specialization cache.
+//!    The collapse count is reported as
 //!    [`WorkloadReport::shared_goals_dedup`] and the
 //!    `synth.shared_goals_dedup` counter.
 //! 2. **One shared view set.**  After per-entry assembly, the simplified
@@ -29,11 +29,11 @@
 //!    ([`MaintainedWorkload`](crate::ivm::MaintainedWorkload)) materializes
 //!    once and delta-feeds into every dependent answer.
 //!
-//! The per-entry outputs are bit-identical to what single-spec
-//! [`synthesize`](crate::synthesis::synthesize) produces for the same spec
-//! (property-tested): planning mirrors the single-spec recursion name-for-
-//! name, and deduplication only short-circuits proofs that would have been
-//! found identically.
+//! Single-spec [`synthesize`](crate::synthesis::synthesize) is this pipeline
+//! run on a one-entry workload.  Deduplication only short-circuits proofs
+//! that would have been found identically (the session's goal-outcome cache
+//! replays a repeated goal's proof), so an entry's definition does not depend
+//! on the other entries of its workload.
 //!
 //! [`WorkloadProblem`] is the Corollary 3 packaging: one base schema, one
 //! view set, N named queries; [`derive_workload`](WorkloadProblem::derive_workload)
@@ -42,19 +42,15 @@
 //! returns a [`WorkloadRewriting`] ready for maintenance and serving.
 
 use crate::synthesis::{
-    assemble_collect, merge_report, plan_collect, record_stats, synthesize_with, CollectPlan, Ctx,
-    GoalBatch, ImplicitSpec, SynthesisConfig, SynthesisError, SynthesisReport,
+    merge_report, synthesize_batch, ImplicitSpec, SynthesisConfig, SynthesisError, SynthesisReport,
     SynthesizedDefinition,
 };
 use nrs_delta0::macros as d0;
 use nrs_delta0::typing::TypeEnv;
-use nrs_delta0::{Formula, InContext, MemAtom, Term};
-use nrs_interp::interpolate;
-use nrs_interp::partition::Partition;
+use nrs_delta0::{Formula, Term};
 use nrs_nrc::spec::ViewDef;
-use nrs_nrc::{compile, eval as nrc_eval, macros as nrc_macros, Expr};
-use nrs_proof::Sequent;
-use nrs_prover::{prove_sequent, ProverSession};
+use nrs_nrc::{eval as nrc_eval, Expr};
+use nrs_prover::ProverSession;
 use nrs_value::{Instance, Name, NameGen, Type, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -146,9 +142,6 @@ pub struct WorkloadReport {
     /// Goals that collapsed onto an identical earlier goal — proof
     /// obligations shared across specs and proved exactly once.
     pub shared_goals_dedup: usize,
-    /// Entries synthesized through the single-spec fallback path (product
-    /// outputs, whose component recursion cannot be pre-walked).
-    pub fallback_entries: usize,
     /// The merged [`SynthesisReport`] across every entry: unique goals are
     /// counted once (attributed to the entry that first recorded them), so
     /// `synthesis.states_visited` is the true total prover work of the run —
@@ -187,9 +180,8 @@ impl SharedViewSet {
     }
 }
 
-/// The result of synthesizing a [`Workload`]: one definition per entry
-/// (bit-identical to single-spec synthesis of the same spec), the shared
-/// view set across them, and the aggregated report.
+/// The result of synthesizing a [`Workload`]: one definition per entry, the
+/// shared view set across them, and the aggregated report.
 #[derive(Debug, Clone)]
 pub struct WorkloadSynthesis {
     /// Per-entry synthesized definitions, in workload order.
@@ -208,43 +200,6 @@ impl WorkloadSynthesis {
             .find(|(n, _)| n == name)
             .map(|(_, d)| d)
     }
-}
-
-/// The pre-walked shape of one workload entry: everything the assembly
-/// phase needs besides the proofs.
-enum OutputShape {
-    /// Unit output: the definition is `()` — no goals.
-    Unit,
-    /// Ur output: one interpolation goal at `goal_idx`.
-    Ur { goal_idx: usize },
-    /// Set output: the Theorem 10 plan plus the membership goal.
-    Set {
-        r: Name,
-        elem_ty: Type,
-        ctx_atoms: Vec<MemAtom>,
-        env_r: TypeEnv,
-        plan: CollectPlan,
-        mem_idx: usize,
-    },
-    /// Product output: synthesized through the single-spec path on the
-    /// shared session (the component recursion spawns fresh specs that
-    /// cannot be pre-walked into this batch).
-    Fallback,
-}
-
-/// One planned entry, carried from the plan phase to the assembly phase.
-struct EntryPlan {
-    name: Name,
-    spec: ImplicitSpec,
-    ctx: Ctx,
-    gen: NameGen,
-    env: TypeEnv,
-    shape: OutputShape,
-    /// Unique goal indices this entry recorded *first* (its exclusive share
-    /// of the batch); stats of deduplicated goals are attributed to their
-    /// first owner, so summing per-entry reports never double counts.
-    first_recorded: Vec<usize>,
-    report: SynthesisReport,
 }
 
 /// Synthesize every entry of a workload through one shared prover session
@@ -276,323 +231,36 @@ pub fn synthesize_workload_with(
     m.entries.add(workload.len() as u64);
     workload.check_distinct_names()?;
 
-    // ---- plan phase: walk every entry, recording goals into one batch ----
-    let mut batch = GoalBatch::deduping();
-    let mut plans = Vec::with_capacity(workload.len());
-    let plan_span = nrs_obs::span("synth.workload.plan");
-    for (name, spec) in workload.entries() {
-        plans.push(plan_entry(*name, spec, cfg, session, &mut batch)?);
-    }
-    drop(plan_span);
-    let goals_recorded = batch.seqs.len() + batch.dedup_hits;
-    let shared_goals_dedup = batch.dedup_hits;
-    m.shared_goals_dedup.add(shared_goals_dedup as u64);
-
-    // ---- prove phase: one batched dispatch over the unique goals ----
-    let prove_span = nrs_obs::span("synth.workload.prove_batch").with("goals", batch.seqs.len());
-    let outcomes = if cfg.share_prover_session {
-        session.prove_batch(&batch.seqs)
-    } else {
-        batch
-            .seqs
-            .iter()
-            .map(|s| prove_sequent(s, session.config()))
-            .collect()
-    };
-    let mut proofs = Vec::with_capacity(outcomes.len());
-    let mut stats = Vec::with_capacity(outcomes.len());
-    for (outcome, purpose) in outcomes.into_iter().zip(&batch.purposes) {
-        match outcome {
-            Ok((proof, st)) => {
-                proofs.push(proof);
-                stats.push(st);
-            }
-            Err(error) => {
-                return Err(SynthesisError::ProofNotFound {
-                    purpose: purpose.clone(),
-                    error,
-                })
-            }
-        }
-    }
-    drop(prove_span);
-
-    // ---- assembly phase: replay each entry over the shared proof vector ----
-    let assemble_span = nrs_obs::span("synth.workload.assemble").with("proofs", proofs.len());
-    let mut definitions = Vec::with_capacity(plans.len());
+    let batch = synthesize_batch(workload.entries(), cfg, session)?;
+    m.shared_goals_dedup.add(batch.dedup_hits as u64);
     let mut aggregate = SynthesisReport::default();
-    let mut fallback_entries = 0usize;
-    for mut plan in plans {
-        // attribute each first-recorded unique goal's stats to this entry
-        for &idx in &plan.first_recorded {
-            record_stats(
-                &batch.purposes[idx],
-                proofs[idx].size(),
-                &stats[idx],
-                &mut plan.report,
-            );
-        }
-        let def = assemble_entry(plan, &proofs, cfg, session, &mut fallback_entries)?;
-        merge_report(&mut aggregate, def.1.report.clone());
-        definitions.push(def);
+    for (_, def) in &batch.definitions {
+        merge_report(&mut aggregate, def.report.clone());
     }
-    drop(assemble_span);
 
     // ---- shared view set across the simplified rewritings ----
-    let inputs: BTreeSet<Name> = workload
-        .entries()
-        .iter()
-        .flat_map(|(_, s)| s.inputs.iter().map(|(n, _)| *n))
-        .collect();
     let shared = extract_shared_views(
-        definitions
+        batch
+            .definitions
             .iter()
             .map(|(n, d)| (*n, d.expr().clone()))
             .collect(),
-        &inputs,
     );
     m.shared_views.add(shared.views.len() as u64);
-    span.record("goals", goals_recorded);
-    span.record("dedup", shared_goals_dedup);
+    span.record("goals", batch.goals_recorded);
+    span.record("dedup", batch.dedup_hits);
     span.record("shared_views", shared.views.len());
 
     Ok(WorkloadSynthesis {
-        definitions,
+        definitions: batch.definitions,
         shared,
         report: WorkloadReport {
             entries: workload.len(),
-            goals_recorded,
-            shared_goals_dedup,
-            fallback_entries,
+            goals_recorded: batch.goals_recorded,
+            shared_goals_dedup: batch.dedup_hits,
             synthesis: aggregate,
         },
     })
-}
-
-/// The plan phase of one entry: mirrors `synthesize_with_inner` +
-/// `synth_output` name-for-name so a singleton workload is bit-identical to
-/// single-spec synthesis, but records goals instead of proving them.
-fn plan_entry(
-    name: Name,
-    spec: &ImplicitSpec,
-    cfg: &SynthesisConfig,
-    session: &ProverSession,
-    batch: &mut GoalBatch,
-) -> Result<EntryPlan, SynthesisError> {
-    let mut report = SynthesisReport::default();
-    let mut first_recorded = Vec::new();
-    let mut gen = NameGen::avoiding(
-        spec.formula
-            .free_vars()
-            .iter()
-            .chain(spec.inputs.iter().map(|(n, _)| n))
-            .chain(std::iter::once(&spec.output.0)),
-    );
-    let (phi_primed, primed_out, primed_aux) = spec.primed();
-    let mut env = spec.env();
-    env.insert(primed_out, spec.output.1.clone());
-    for (n, t) in &primed_aux {
-        env.insert(*n, t.clone());
-    }
-
-    let push_tracked = |batch: &mut GoalBatch,
-                        first: &mut Vec<usize>,
-                        report: &mut SynthesisReport,
-                        seq: Sequent,
-                        purpose: String| {
-        let before = batch.seqs.len();
-        let idx = batch.push(seq, purpose);
-        if batch.seqs.len() > before {
-            first.push(idx);
-        } else {
-            report
-                .notes
-                .push("goal shared with an earlier workload entry (deduplicated)".into());
-        }
-        idx
-    };
-
-    if cfg.check_determinacy {
-        let goal = d0::equiv(
-            &spec.output.1,
-            &Term::Var(spec.output.0),
-            &Term::Var(primed_out),
-            &mut gen,
-        );
-        let seq = Sequent::two_sided(
-            InContext::new(),
-            [spec.formula.clone(), phi_primed.clone()],
-            [goal],
-        );
-        push_tracked(
-            batch,
-            &mut first_recorded,
-            &mut report,
-            seq,
-            format!("the determinacy of the output (entry {name})"),
-        );
-        report
-            .notes
-            .push("determinacy established by proof search".into());
-    }
-
-    let ctx = Ctx {
-        phi: spec.formula.clone(),
-        phi_primed: phi_primed.clone(),
-        primed_out,
-        inputs: spec.inputs.clone(),
-        cfg: cfg.clone(),
-        session: session.clone(),
-    };
-    let shape = match &spec.output.1 {
-        Type::Unit => {
-            report
-                .notes
-                .push("output has type Unit: the definition is ()".into());
-            OutputShape::Unit
-        }
-        Type::Ur => {
-            let goal = Formula::eq_ur(Term::Var(spec.output.0), Term::Var(ctx.primed_out));
-            let seq = Sequent::two_sided(
-                InContext::new(),
-                [ctx.phi.clone(), ctx.phi_primed.clone()],
-                [goal],
-            );
-            let goal_idx = push_tracked(
-                batch,
-                &mut first_recorded,
-                &mut report,
-                seq,
-                format!("the Ur-output interpolation goal (entry {name})"),
-            );
-            OutputShape::Ur { goal_idx }
-        }
-        Type::Set(elem_ty) => {
-            let r = gen.fresh("r");
-            let ctx_atoms = vec![MemAtom::new(Term::Var(r), Term::Var(spec.output.0))];
-            let mut env_r = env.clone();
-            env_r.insert(r, (**elem_ty).clone());
-            let before = batch.seqs.len();
-            let dedup_before = batch.dedup_hits;
-            let plan = plan_collect(
-                &ctx,
-                &ctx_atoms,
-                &Term::Var(r),
-                elem_ty,
-                1,
-                &env_r,
-                &mut gen,
-                batch,
-            )?;
-            first_recorded.extend(before..batch.seqs.len());
-            for _ in dedup_before..batch.dedup_hits {
-                report
-                    .notes
-                    .push("goal shared with an earlier workload entry (deduplicated)".into());
-            }
-            // the membership interpolation goal, exactly as in synth_output
-            let rp = gen.fresh("rp");
-            let goal = Formula::exists(
-                rp,
-                Term::Var(ctx.primed_out),
-                d0::equiv(elem_ty, &Term::Var(r), &Term::Var(rp), &mut gen),
-            );
-            let seq = Sequent::two_sided(
-                InContext::from_atoms(ctx_atoms.clone()),
-                [ctx.phi.clone(), ctx.phi_primed.clone()],
-                [goal],
-            );
-            let mem_idx = push_tracked(
-                batch,
-                &mut first_recorded,
-                &mut report,
-                seq,
-                format!("the membership interpolation goal (entry {name})"),
-            );
-            OutputShape::Set {
-                r,
-                elem_ty: (**elem_ty).clone(),
-                ctx_atoms,
-                env_r,
-                plan,
-                mem_idx,
-            }
-        }
-        Type::Prod(_, _) => {
-            report.notes.push(
-                "product output: synthesized through the single-spec fallback on the shared \
-                 session"
-                    .into(),
-            );
-            OutputShape::Fallback
-        }
-    };
-    Ok(EntryPlan {
-        name,
-        spec: spec.clone(),
-        ctx,
-        gen,
-        env,
-        shape,
-        first_recorded,
-        report,
-    })
-}
-
-/// The assembly phase of one entry: replay the plan over the shared proof
-/// vector, mirroring the single-spec `synth_output` assembly.
-fn assemble_entry(
-    plan: EntryPlan,
-    proofs: &[nrs_proof::Proof],
-    cfg: &SynthesisConfig,
-    session: &ProverSession,
-    fallback_entries: &mut usize,
-) -> Result<(Name, SynthesizedDefinition), SynthesisError> {
-    let EntryPlan {
-        name,
-        spec,
-        ctx,
-        mut gen,
-        env,
-        shape,
-        first_recorded: _,
-        mut report,
-    } = plan;
-    let expr = match shape {
-        OutputShape::Unit => Expr::Unit,
-        OutputShape::Ur { goal_idx } => {
-            let partition = Partition::with_left([], [ctx.phi.negate()]);
-            let kappa = interpolate(&proofs[goal_idx], &partition)?;
-            report.notes.push(format!("Ur-output interpolant: {kappa}"));
-            let atoms = nrc_macros::atoms_of_inputs(&ctx.inputs, &mut gen);
-            let filtered =
-                compile::comprehension(spec.output.0, atoms, &Type::Ur, &kappa, &env, &mut gen)?;
-            Expr::get(Type::Ur, filtered)
-        }
-        OutputShape::Set {
-            r,
-            elem_ty,
-            ctx_atoms,
-            env_r,
-            plan,
-            mem_idx,
-        } => {
-            let superset = assemble_collect(&ctx, &plan, proofs, &mut gen, &mut report)?;
-            let partition = Partition::with_left(ctx_atoms.iter().cloned(), [ctx.phi.negate()]);
-            let kappa = interpolate(&proofs[mem_idx], &partition)?;
-            report
-                .notes
-                .push(format!("membership interpolant: {kappa}"));
-            compile::comprehension(r, superset, &elem_ty, &kappa, &env_r, &mut gen)?
-        }
-        OutputShape::Fallback => {
-            *fallback_entries += 1;
-            let def = synthesize_with(&spec, cfg, session)?;
-            merge_report(&mut report, def.report.clone());
-            return Ok((name, def));
-        }
-    };
-    Ok((name, SynthesizedDefinition::new(expr, spec, report)))
 }
 
 // ---------------------------------------------------------------------------
@@ -753,10 +421,7 @@ fn hoist(e: &Expr, key: &Expr, name: Name, scope: &mut BTreeSet<Name>) -> (Expr,
 /// set-typed fragments occurring (alpha-canonically) in ≥ 2 distinct
 /// queries are hoisted into named shared views, largest first, and every
 /// occurrence is replaced by a reference.
-pub(crate) fn extract_shared_views(
-    queries: Vec<(Name, Expr)>,
-    _inputs: &BTreeSet<Name>,
-) -> SharedViewSet {
+pub(crate) fn extract_shared_views(queries: Vec<(Name, Expr)>) -> SharedViewSet {
     let mut found: BTreeMap<Expr, BTreeSet<usize>> = BTreeMap::new();
     for (i, (_, e)) in queries.iter().enumerate() {
         collect_candidates(e, i, &mut BTreeSet::new(), &mut found);
@@ -1151,9 +816,7 @@ mod tests {
         let frag_b = Expr::big_union("y", Expr::var("V1"), Expr::singleton(Expr::var("y")));
         let q1 = Expr::union(frag_a.clone(), Expr::var("V2"));
         let q2 = Expr::diff(frag_b, Expr::var("V2"));
-        let inputs: BTreeSet<Name> = [Name::new("V1"), Name::new("V2")].into_iter().collect();
-        let shared =
-            extract_shared_views(vec![(Name::new("A"), q1), (Name::new("B"), q2)], &inputs);
+        let shared = extract_shared_views(vec![(Name::new("A"), q1), (Name::new("B"), q2)]);
         assert_eq!(shared.views.len(), 1, "{shared:?}");
         let (name, _) = shared.views[0];
         let a = shared.query(&Name::new("A")).unwrap();
@@ -1191,14 +854,10 @@ mod tests {
             Expr::var("V1"),
             Expr::union(Expr::singleton(Expr::var("x")), Expr::var("V2")),
         );
-        let inputs: BTreeSet<Name> = [Name::new("V1"), Name::new("V2")].into_iter().collect();
-        let shared = extract_shared_views(
-            vec![
-                (Name::new("A"), open_body.clone()),
-                (Name::new("B"), open_body),
-            ],
-            &inputs,
-        );
+        let shared = extract_shared_views(vec![
+            (Name::new("A"), open_body.clone()),
+            (Name::new("B"), open_body),
+        ]);
         // the whole (closed) expression is shared; the open inner union is not
         assert_eq!(shared.views.len(), 1);
         for (_, q) in &shared.queries {

@@ -132,20 +132,3 @@ fn shared_session_synthesis_matches_cold_synthesis() {
         assert!(cold.verify_on_base(&base).unwrap(), "cold, seed {seed}");
     }
 }
-
-#[test]
-fn parallel_goal_synthesis_is_correct() {
-    // The partition spec has a Set output (no product split), so this mainly
-    // exercises that the parallel configuration is safe end-to-end.
-    let problem = partition_problem();
-    let cfg = SynthesisConfig {
-        check_determinacy: true,
-        parallel_goals: true,
-        ..Default::default()
-    };
-    let result = problem.derive_rewriting(&cfg).expect("parallel ok");
-    for seed in 0..4 {
-        let base = partition_instance(5, seed);
-        assert!(result.verify_on_base(&base).unwrap(), "seed {seed}");
-    }
-}

@@ -13,9 +13,8 @@
 //!   with the same [`ProverConfig`].
 //!
 //! Sessions are `Sync`: independent goals may call [`prove_sequent`] from
-//! several threads (e.g. `std::thread::scope` in `nrs-core`), in which case
-//! idle workers are reused and extra workers are spawned on demand, all
-//! sharing the memo behind a mutex.
+//! several threads, in which case idle workers are reused and extra workers
+//! are spawned on demand, all sharing the memo behind a mutex.
 //!
 //! [`prove_sequent`]: ProverSession::prove_sequent
 
@@ -42,13 +41,12 @@ struct Job {
 struct SessionInner {
     cfg: ProverConfig,
     /// The session-lifetime caches (failure memo, specialization cache,
-    /// rewrite-candidate cache), each a sharded concurrent map so parallel
-    /// workers and branch threads don't serialize on probes.
+    /// rewrite-candidate cache), each a sharded concurrent map so concurrent
+    /// workers don't serialize on probes.
     caches: SearchCaches,
     idle: Mutex<Vec<Sender<Job>>>,
     /// Cooperative cancellation token: set by [`ProverSession::cancel`],
-    /// observed by every in-flight search (including parallel branch
-    /// workers) at state-visit granularity.
+    /// observed by every in-flight search at state-visit granularity.
     cancelled: AtomicBool,
 }
 
@@ -130,7 +128,7 @@ impl ProverSession {
         self.inner.cancelled.store(false, Ordering::SeqCst);
     }
 
-    /// Prove `Θ ; ⊢ Δ` (one-sided), returning a checked proof object.  Runs
+    /// Prove `Θ ; ⊢ Δ` (one-sided), returning a proof object.  Runs
     /// on one of the session's big-stack workers; concurrent calls get
     /// concurrent workers.
     pub fn prove_sequent(&self, sequent: &Sequent) -> Result<(Proof, ProverStats), ProofError> {
