@@ -29,7 +29,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nrs_ivm::UpdateBatch;
-use nrs_serve::{ServerConfig, ViewServer};
+use nrs_serve::ViewServer;
 use nrs_synthesis::views::{partition_instance, partition_problem};
 use nrs_synthesis::SynthesisConfig;
 use nrs_value::Value;
@@ -85,7 +85,9 @@ fn bench_serve(c: &mut Criterion) {
     };
     for &size in sizes {
         let base = partition_instance(size, 42);
-        let server = ViewServer::new(&rewriting, &base).expect("server");
+        let server = ViewServer::builder()
+            .serve(&rewriting, &base)
+            .expect("server");
 
         // Warm the maintenance operators before measuring: the harness
         // calibrates its iteration count from the first call, and a cold
@@ -176,15 +178,10 @@ fn bench_serve(c: &mut Criterion) {
         // queue fills, backpressure throttles the measured submit to the
         // pipeline's steady-state per-update rate.
         let pipe_server = Arc::new(
-            ViewServer::with_config(
-                &rewriting,
-                &base,
-                ServerConfig {
-                    batch_window: Duration::from_micros(200),
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("pipeline server"),
+            ViewServer::builder()
+                .batch_window(Duration::from_micros(200))
+                .serve(&rewriting, &base)
+                .expect("pipeline server"),
         );
         let mut warm = false;
         for _ in 0..8 {

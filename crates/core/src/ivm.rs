@@ -1,7 +1,7 @@
 //! Maintained synthesized views (the paper's use case, kept live).
 //!
 //! Synthesis turns an implicit specification into an explicit NRC
-//! definition; Corollary 3 turns views + query into a rewriting.  Both are
+//! definition; Corollary 3 turns views + queries into rewritings.  Both are
 //! *views over changing data*: this module keeps their materializations up
 //! to date under [`UpdateBatch`]es using the delta engine of `nrs-ivm`,
 //! instead of re-running the compiled plans per update.
@@ -9,14 +9,17 @@
 //! * [`MaintainedView`] wraps one [`SynthesizedDefinition`] over an instance
 //!   binding its inputs: apply batches against the *inputs*, read the
 //!   maintained output.
-//! * [`MaintainedRewriting`] wraps a whole [`RewritingResult`] pipeline over
-//!   a *base* instance: a batch on the base relations is propagated through
-//!   every maintained view materialization, the view deltas are assembled
-//!   into a batch on the view names, and that batch drives the maintained
-//!   rewriting — so a single-tuple base update reaches the query answer in
-//!   O(|Δ| · log n) end to end.
+//! * [`MaintainedWorkload`] wraps a whole [`WorkloadRewriting`] over a
+//!   *base* instance: a batch on the base relations is propagated through
+//!   every maintained view materialization, then through the shared
+//!   fragments, and the combined view delta drives every maintained answer
+//!   — so a single-tuple base update reaches the answers in O(|Δ| · log n)
+//!   end to end.  It is the only maintenance engine for rewritings.
+//! * [`MaintainedRewriting`] is a single [`RewritingResult`] kept the same
+//!   way: a [`MaintainedWorkload`] of one answer (see
+//!   [`WorkloadRewriting`]'s `From<&RewritingResult>`).
 //!
-//! Both handles carry a `cross_check` that re-evaluates naively from
+//! Every handle carries a `cross_check` that re-evaluates naively from
 //! scratch — every maintained value doubles as an incremental-vs-oracle
 //! equivalence check (see `nrs-ivm`'s `tests/maintenance_equivalence.rs` for
 //! the randomized harness).
@@ -24,7 +27,7 @@
 use crate::synthesis::{SynthesisError, SynthesizedDefinition};
 use crate::views::RewritingResult;
 use crate::workload::WorkloadRewriting;
-use nrs_ivm::{CoverageReport, DeltaSet, IvmError, MaintainedQuery, UpdateBatch};
+use nrs_ivm::{CoverageReport, DeltaSet, IvmError, MaintStats, MaintainedQuery, UpdateBatch};
 use nrs_nrc::{eval as nrc_eval, CompiledQuery};
 use nrs_value::{Instance, Name, Value};
 use std::fmt;
@@ -76,12 +79,6 @@ impl MaintainedView {
         self.maintained.coverage()
     }
 
-    /// Use up to `workers` threads for the evaluation phase of delta rounds
-    /// (bit-identical state for every count; a pure throughput knob).
-    pub fn set_workers(&mut self, workers: usize) {
-        self.maintained.set_workers(workers);
-    }
-
     /// The maintained materialization of the view.
     pub fn value(&self) -> &Value {
         self.maintained.value()
@@ -106,44 +103,56 @@ impl MaintainedView {
     }
 }
 
-/// One maintained view-materialization stage of a rewriting pipeline.
+/// One maintained stage of a workload: a view, a shared fragment or a
+/// query answer.
 #[derive(Debug)]
 struct MaintainedStage {
     name: Name,
     maintained: MaintainedQuery,
 }
 
-/// Where in a rewriting pipeline a maintenance failure occurred.
+/// What a stage of a maintained workload materializes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FailLoc {
-    /// The view-materialization stage at this index.
-    Stage(usize),
-    /// The answer query over the views.
+pub enum StageKind {
+    /// A view over the base relations.
+    View,
+    /// A fragment shared by several answers, over the views.
+    Shared,
+    /// A query answer, over the views and shared fragments.
     Answer,
 }
 
+impl fmt::Display for StageKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            StageKind::View => "view",
+            StageKind::Shared => "shared",
+            StageKind::Answer => "answer",
+        })
+    }
+}
+
 /// An operator the self-healing apply demoted to recompute-on-dirty:
-/// which query it belongs to (a view stage or the answer) and its stable
-/// preorder id within that query's plan.
+/// which stage it belongs to (a view, a shared fragment or an answer) and
+/// its stable preorder id within that stage's plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradedOperator {
-    /// The view the operator belongs to, or `None` for the answer query.
-    pub view: Option<Name>,
+    /// What the owning stage materializes.
+    pub kind: StageKind,
+    /// The owning stage: a view, shared-fragment or query name.
+    pub owner: Name,
     /// Stable preorder operator id within the owning plan.
     pub op: usize,
 }
 
 impl fmt::Display for DegradedOperator {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.view {
-            Some(name) => write!(f, "view {name} operator #{}", self.op),
-            None => write!(f, "answer operator #{}", self.op),
-        }
+        write!(f, "{} {} operator #{}", self.kind, self.owner, self.op)
     }
 }
 
-/// Per-query coverage of a maintained rewriting pipeline (ROADMAP item 5):
-/// one [`CoverageReport`] per view stage plus one for the answer, including
+/// Per-query coverage of a maintained rewriting (ROADMAP item 5): one
+/// [`CoverageReport`] per view stage plus one for the answer, including
 /// any operators the self-healing apply has degraded.
 #[derive(Debug, Clone)]
 pub struct RewritingCoverage {
@@ -166,6 +175,23 @@ impl RewritingCoverage {
     }
 }
 
+impl From<WorkloadCoverage> for RewritingCoverage {
+    /// The single-rewriting shape of a workload's coverage: shared
+    /// fragments are folded into the view list and the first answer stands
+    /// for `answer`.
+    fn from(wc: WorkloadCoverage) -> RewritingCoverage {
+        let mut views = wc.views;
+        views.extend(wc.shared);
+        let answer = wc
+            .answers
+            .into_iter()
+            .next()
+            .map(|(_, c)| c)
+            .expect("a workload has at least one query");
+        RewritingCoverage { views, answer }
+    }
+}
+
 impl fmt::Display for RewritingCoverage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (name, c) in &self.views {
@@ -176,12 +202,10 @@ impl fmt::Display for RewritingCoverage {
 }
 
 /// A full Corollary 3 pipeline kept materialized under *base* updates: the
-/// view materializations and the rewriting's answer, all incremental.
+/// view materializations and the rewriting's answer, all incremental.  A
+/// [`MaintainedWorkload`] of one answer.
 #[derive(Debug)]
-pub struct MaintainedRewriting {
-    stages: Vec<MaintainedStage>,
-    answer: MaintainedQuery,
-}
+pub struct MaintainedRewriting(MaintainedWorkload);
 
 impl MaintainedRewriting {
     /// Materialize every view of the problem over `base`, materialize the
@@ -191,266 +215,57 @@ impl MaintainedRewriting {
         result: &RewritingResult,
         base: &Instance,
     ) -> Result<MaintainedRewriting, SynthesisError> {
-        let env = result.problem.base_env();
-        let mut gen = nrs_value::NameGen::new();
-        let mut stages = Vec::with_capacity(result.problem.views.len());
-        let mut view_inst = Instance::new();
-        for view in &result.problem.views {
-            let expr = view
-                .to_nrc(&env, &mut gen)
-                .map_err(|e| SynthesisError::Ill(e.to_string()))?;
-            let compiled = CompiledQuery::compile(&expr);
-            let maintained = MaintainedQuery::new(&compiled, base)?;
-            view_inst.bind(view.name, maintained.value().clone());
-            stages.push(MaintainedStage {
-                name: view.name,
-                maintained,
-            });
-        }
-        let answer = MaintainedQuery::new(result.definition.compiled(), &view_inst)?;
-        Ok(MaintainedRewriting { stages, answer })
+        MaintainedWorkload::new(&result.into(), base).map(MaintainedRewriting)
     }
 
-    /// Use up to `workers` threads for the pure evaluation phase of every
-    /// stage's (and the answer's) delta rounds.  Maintained state stays
-    /// bit-identical to the sequential path for every worker count — see
-    /// `nrs_ivm::engine`'s module docs — so this only trades threads for
-    /// wall-clock on large deltas.
-    pub fn set_workers(&mut self, workers: usize) {
-        for stage in &mut self.stages {
-            stage.maintained.set_workers(workers);
-        }
-        self.answer.set_workers(workers);
+    /// Cumulative round counters summed across every view stage and the
+    /// answer.
+    pub fn maint_stats(&self) -> MaintStats {
+        self.0.maint_stats()
     }
 
-    /// Cumulative sharded-evaluation counters summed across every view
-    /// stage and the answer query.  Snapshot before/after a flush and
-    /// subtract to attribute rounds to it (the serving layer surfaces that
-    /// delta in its `FlushReport`).
-    pub fn maint_stats(&self) -> nrs_ivm::MaintStats {
-        let mut total = self.answer.maint_stats();
-        for stage in &self.stages {
-            total += stage.maintained.maint_stats();
-        }
-        total
-    }
-
-    /// Apply a batch of *base* updates: every view materialization is
-    /// maintained, their deltas are assembled into a batch over the view
-    /// names, and the rewriting's answer is maintained from that.  Returns
-    /// the exact delta of the answer.
+    /// Apply a batch of *base* updates; returns the exact delta of the
+    /// answer.  See [`MaintainedWorkload::apply`].
     pub fn apply(&mut self, batch: &UpdateBatch) -> Result<DeltaSet, SynthesisError> {
-        self.apply_inner(batch).map_err(|(_, e)| e.into())
+        self.0.apply(batch).map(only_delta)
     }
 
-    /// The shared propagation step, reporting *where* a failure occurred so
-    /// the transactional wrappers can degrade the right operator.
-    fn apply_inner(&mut self, batch: &UpdateBatch) -> Result<DeltaSet, (FailLoc, IvmError)> {
-        let mut view_batch = UpdateBatch::new();
-        for (i, stage) in self.stages.iter_mut().enumerate() {
-            let delta = stage
-                .maintained
-                .apply(batch)
-                .map_err(|e| (FailLoc::Stage(i), e))?;
-            if !delta.is_empty() {
-                view_batch.push_delta(stage.name, delta);
-            }
-        }
-        if view_batch.is_empty() {
-            return Ok(DeltaSet::new());
-        }
-        self.answer
-            .apply(&view_batch)
-            .map_err(|e| (FailLoc::Answer, e))
-    }
-
-    /// Restore every stage and the answer to a previously captured
-    /// (base, views) snapshot by full rebuild.  Failure path only — the
-    /// success path never pays this; serving layers use it to unwind a batch
-    /// whose publication step failed after propagation succeeded.
-    pub fn restore(&mut self, base: &Instance, views: &Instance) -> Result<(), SynthesisError> {
-        self.rollback(base, views)
-    }
-
-    /// Restore every stage and the answer to a pre-batch snapshot by full
-    /// rebuild (failure path only — the success path never pays this).
-    fn rollback(&mut self, base: &Instance, views: &Instance) -> Result<(), SynthesisError> {
-        for stage in &mut self.stages {
-            stage.maintained.rebuild(base).map_err(|e| {
-                SynthesisError::Ill(format!("rollback of view {} failed: {e}", stage.name))
-            })?;
-        }
-        self.answer
-            .rebuild(views)
-            .map_err(|e| SynthesisError::Ill(format!("rollback of the answer failed: {e}")))
-    }
-
-    /// Like [`MaintainedRewriting::apply`], but all-or-nothing across the
-    /// whole pipeline: if any stage (or the answer) fails mid-propagation,
-    /// every materialization is restored to its pre-batch state before the
-    /// error is returned.  Validation errors
-    /// ([`IvmError::is_validation`]) never modify state, so they skip the
-    /// rollback.
-    pub fn apply_transactional(&mut self, batch: &UpdateBatch) -> Result<DeltaSet, SynthesisError> {
-        let base_before = self.base().clone();
-        let views_before = self.answer.env().clone();
-        match self.apply_inner(batch) {
-            Ok(d) => Ok(d),
-            Err((_, e)) => {
-                if !e.is_validation() {
-                    self.rollback(&base_before, &views_before)?;
-                }
-                Err(e.into())
-            }
-        }
-    }
-
-    /// Self-healing apply: transactional, and an operator failure
-    /// additionally **degrades** the failing operator to recompute-on-dirty
-    /// (visible in [`MaintainedRewriting::coverage`]) and retries the batch
-    /// through the degraded plan.  Returns the answer delta together with
-    /// the operators degraded while processing this batch.  Validation
-    /// errors are returned as-is — there is nothing to heal.
+    /// Self-healing apply; returns the answer delta together with the
+    /// operators degraded while processing this batch.  See
+    /// [`MaintainedWorkload::apply_resilient`].
     pub fn apply_resilient(
         &mut self,
         batch: &UpdateBatch,
     ) -> Result<(DeltaSet, Vec<DegradedOperator>), SynthesisError> {
-        let mut degraded = Vec::new();
-        loop {
-            let base_before = self.base().clone();
-            let views_before = self.answer.env().clone();
-            match self.apply_inner(batch) {
-                Ok(d) => return Ok((d, degraded)),
-                Err((loc, e)) => {
-                    if e.is_validation() {
-                        return Err(e.into());
-                    }
-                    self.rollback(&base_before, &views_before)?;
-                    let Some(op) = e.operator() else {
-                        // no operator to blame (e.g. an internal invariant
-                        // violation): degradation can't help
-                        return Err(e.into());
-                    };
-                    let query = match loc {
-                        FailLoc::Stage(i) => &mut self.stages[i].maintained,
-                        FailLoc::Answer => &mut self.answer,
-                    };
-                    if query.degraded().contains(&op) {
-                        // the operator failed *again* while already degraded
-                        // (its recompute path is broken too): give up rather
-                        // than loop
-                        return Err(e.into());
-                    }
-                    query.degrade(op).map_err(SynthesisError::from)?;
-                    degraded.push(DegradedOperator {
-                        view: match loc {
-                            FailLoc::Stage(i) => Some(self.stages[i].name),
-                            FailLoc::Answer => None,
-                        },
-                        op,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Per-stage maintenance coverage (ROADMAP item 5), including operators
-    /// degraded by [`MaintainedRewriting::apply_resilient`].
-    pub fn coverage(&self) -> RewritingCoverage {
-        RewritingCoverage {
-            views: self
-                .stages
-                .iter()
-                .map(|s| (s.name, s.maintained.coverage()))
-                .collect(),
-            answer: self.answer.coverage(),
-        }
-    }
-
-    /// The operators currently degraded across the pipeline.
-    pub fn degraded_operators(&self) -> Vec<DegradedOperator> {
-        let mut out = Vec::new();
-        for stage in &self.stages {
-            out.extend(
-                stage
-                    .maintained
-                    .degraded()
-                    .iter()
-                    .map(|&op| DegradedOperator {
-                        view: Some(stage.name),
-                        op,
-                    }),
-            );
-        }
-        out.extend(
-            self.answer
-                .degraded()
-                .iter()
-                .map(|&op| DegradedOperator { view: None, op }),
-        );
-        out
+        let (deltas, degraded) = self.0.apply_resilient(batch)?;
+        Ok((only_delta(deltas), degraded))
     }
 
     /// The maintained query answer.
     pub fn answer(&self) -> &Value {
-        self.answer.value()
-    }
-
-    /// The maintained materialization of one view.
-    pub fn view(&self, name: &Name) -> Option<&Value> {
-        self.stages
-            .iter()
-            .find(|s| &s.name == name)
-            .map(|s| s.maintained.value())
+        self.0.answers[0].maintained.value()
     }
 
     /// The base instance at its current (post-batch) state.
     pub fn base(&self) -> &Instance {
-        self.stages
-            .first()
-            .map(|s| s.maintained.env())
-            .unwrap_or_else(|| self.answer.env())
+        self.0.base()
     }
 
-    /// The current view instance (view names bound to maintained values).
-    pub fn view_instance(&self) -> &Instance {
-        self.answer.env()
-    }
-
-    /// Naive end-to-end check: re-materialize the views from the current
-    /// base with the naive evaluator, re-evaluate the rewriting naively on
-    /// them, and compare against every maintained value.
+    /// Naive end-to-end check: every maintained view and the answer against
+    /// from-scratch naive evaluation, and the answer against the query
+    /// evaluated directly on the base.  See [`MaintainedWorkload::cross_check`].
     pub fn cross_check(&self, result: &RewritingResult) -> Result<bool, SynthesisError> {
-        let env = result.problem.base_env();
-        let mut gen = nrs_value::NameGen::new();
-        let base = self.base();
-        let mut view_inst = Instance::new();
-        for view in &result.problem.views {
-            let expr = view
-                .to_nrc(&env, &mut gen)
-                .map_err(|e| SynthesisError::Ill(e.to_string()))?;
-            let naive =
-                nrc_eval::eval(&expr, base).map_err(|e| SynthesisError::Ill(e.to_string()))?;
-            match self.view(&view.name) {
-                Some(v) if v == &naive => view_inst.bind(view.name, naive),
-                _ => return Ok(false),
-            };
-        }
-        let naive_answer = nrc_eval::eval(result.expr(), &view_inst)
-            .map_err(|e| SynthesisError::Ill(e.to_string()))?;
-        Ok(&naive_answer == self.answer())
+        self.0.cross_check(&result.into())
     }
 }
 
-/// Where in a maintained workload a failure occurred.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WorkloadFailLoc {
-    /// The view-materialization stage at this index.
-    Stage(usize),
-    /// The shared-fragment stage at this index.
-    Shared(usize),
-    /// The answer query at this index.
-    Answer(usize),
+/// The delta of a one-answer workload's only answer.
+fn only_delta(deltas: AnswerDeltas) -> DeltaSet {
+    deltas
+        .into_iter()
+        .next()
+        .map(|(_, d)| d)
+        .unwrap_or_default()
 }
 
 /// Per-query coverage of a maintained workload: one [`CoverageReport`] per
@@ -503,18 +318,19 @@ impl fmt::Display for WorkloadCoverage {
     }
 }
 
-/// One maintained query answer of a workload, with its per-query flush
-/// timer.
-#[derive(Debug)]
-struct MaintainedAnswer {
-    name: Name,
-    maintained: MaintainedQuery,
-    apply_seconds: Arc<nrs_obs::Histogram>,
-}
-
 /// Per-query deltas of one maintenance round: one `(query name, delta)`
 /// entry per named workload answer, in workload entry order.
 pub type AnswerDeltas = Vec<(Name, DeltaSet)>;
+
+/// A captured pre-batch state of a [`MaintainedWorkload`]: the instances
+/// its views, shared fragments and answers are maintained over.  Cheap —
+/// the values underneath are persistent.
+#[derive(Debug, Clone)]
+pub struct Checkpoint {
+    base: Instance,
+    views: Instance,
+    aug: Instance,
+}
 
 /// A whole multi-query workload kept materialized under *base* updates:
 /// the view materializations, the **shared fragments** (each maintained
@@ -529,9 +345,11 @@ pub type AnswerDeltas = Vec<(Name, DeltaSet)>;
 /// once per flush, not once per dependent query.
 #[derive(Debug)]
 pub struct MaintainedWorkload {
-    stages: Vec<MaintainedStage>,
+    views: Vec<MaintainedStage>,
     shared: Vec<MaintainedStage>,
-    answers: Vec<MaintainedAnswer>,
+    answers: Vec<MaintainedStage>,
+    /// Per-answer apply timers, parallel to `answers`.
+    answer_seconds: Vec<Arc<nrs_obs::Histogram>>,
 }
 
 fn workload_obs() -> (
@@ -560,7 +378,7 @@ impl MaintainedWorkload {
     ) -> Result<MaintainedWorkload, SynthesisError> {
         let env = rewriting.problem.base_env();
         let mut gen = nrs_value::NameGen::new();
-        let mut stages = Vec::with_capacity(rewriting.problem.views.len());
+        let mut views = Vec::with_capacity(rewriting.problem.views.len());
         let mut view_inst = Instance::new();
         for view in &rewriting.problem.views {
             let expr = view
@@ -569,7 +387,7 @@ impl MaintainedWorkload {
             let compiled = CompiledQuery::compile(&expr);
             let maintained = MaintainedQuery::new(&compiled, base)?;
             view_inst.bind(view.name, maintained.value().clone());
-            stages.push(MaintainedStage {
+            views.push(MaintainedStage {
                 name: view.name,
                 maintained,
             });
@@ -588,42 +406,39 @@ impl MaintainedWorkload {
         }
         let registry = nrs_obs::global();
         let mut answers = Vec::with_capacity(shared_set.queries.len());
+        let mut answer_seconds = Vec::with_capacity(shared_set.queries.len());
         for (name, expr) in &shared_set.queries {
             let compiled = CompiledQuery::compile(expr);
-            let maintained = MaintainedQuery::new(&compiled, &aug_inst)?;
-            answers.push(MaintainedAnswer {
+            answers.push(MaintainedStage {
                 name: *name,
-                maintained,
-                apply_seconds: registry.timer(&format!("ivm.workload.answer.{name}.apply_seconds")),
+                maintained: MaintainedQuery::new(&compiled, &aug_inst)?,
             });
+            answer_seconds
+                .push(registry.timer(&format!("ivm.workload.answer.{name}.apply_seconds")));
         }
         Ok(MaintainedWorkload {
-            stages,
+            views,
             shared,
             answers,
+            answer_seconds,
         })
     }
 
-    /// Use up to `workers` threads for the evaluation phase of every
-    /// stage's delta rounds (bit-identical state for every count).
-    pub fn set_workers(&mut self, workers: usize) {
-        for stage in self.stages.iter_mut().chain(&mut self.shared) {
-            stage.maintained.set_workers(workers);
-        }
-        for answer in &mut self.answers {
-            answer.maintained.set_workers(workers);
-        }
+    /// Every stage in propagation order, with its kind.
+    fn stages(&self) -> impl Iterator<Item = (StageKind, &MaintainedStage)> {
+        self.views
+            .iter()
+            .map(|s| (StageKind::View, s))
+            .chain(self.shared.iter().map(|s| (StageKind::Shared, s)))
+            .chain(self.answers.iter().map(|s| (StageKind::Answer, s)))
     }
 
-    /// Cumulative sharded-evaluation counters summed across every stage,
-    /// shared fragment and answer.
-    pub fn maint_stats(&self) -> nrs_ivm::MaintStats {
-        let mut total = nrs_ivm::MaintStats::default();
-        for stage in self.stages.iter().chain(&self.shared) {
+    /// Cumulative round counters summed across every stage, shared
+    /// fragment and answer.
+    pub fn maint_stats(&self) -> MaintStats {
+        let mut total = MaintStats::default();
+        for (_, stage) in self.stages() {
             total += stage.maintained.maint_stats();
-        }
-        for answer in &self.answers {
-            total += answer.maintained.maint_stats();
         }
         total
     }
@@ -632,41 +447,53 @@ impl MaintainedWorkload {
     /// the exact per-query answer deltas (empty deltas included, so the
     /// result always has one entry per query, in workload order).
     pub fn apply(&mut self, batch: &UpdateBatch) -> Result<AnswerDeltas, SynthesisError> {
-        self.apply_inner(batch).map_err(|(_, e)| e.into())
+        self.apply_inner(batch).map_err(|(_, _, e)| e.into())
     }
 
-    /// The shared propagation step: each view and each shared fragment is
+    /// The propagation step: each view and each shared fragment is
     /// maintained exactly once; every answer is delta-fed from the combined
-    /// view + shared batch.
+    /// view + shared batch.  A failure reports the kind and index of the
+    /// stage it occurred in, so the self-healing apply can degrade the
+    /// right operator.
     fn apply_inner(
         &mut self,
         batch: &UpdateBatch,
-    ) -> Result<AnswerDeltas, (WorkloadFailLoc, IvmError)> {
+    ) -> Result<AnswerDeltas, (StageKind, usize, IvmError)> {
         let (shared_ctr, applies_ctr) = workload_obs();
-        let mut view_batch = UpdateBatch::new();
-        for (i, stage) in self.stages.iter_mut().enumerate() {
+        let mut combined = UpdateBatch::new();
+        for (i, stage) in self.views.iter_mut().enumerate() {
             let delta = stage
                 .maintained
                 .apply(batch)
-                .map_err(|e| (WorkloadFailLoc::Stage(i), e))?;
-            if !delta.is_empty() {
-                view_batch.push_delta(stage.name, delta);
-            }
-        }
-        let mut combined = view_batch.clone();
-        for (i, stage) in self.shared.iter_mut().enumerate() {
-            let delta = stage
-                .maintained
-                .apply(&view_batch)
-                .map_err(|e| (WorkloadFailLoc::Shared(i), e))?;
+                .map_err(|e| (StageKind::View, i, e))?;
             if !delta.is_empty() {
                 combined.push_delta(stage.name, delta);
             }
         }
-        shared_ctr.add((self.stages.len() + self.shared.len()) as u64);
+        // shared fragments read the view deltas only; theirs join the batch
+        // afterwards
+        let mut shared_deltas = Vec::new();
+        for (i, stage) in self.shared.iter_mut().enumerate() {
+            let delta = stage
+                .maintained
+                .apply(&combined)
+                .map_err(|e| (StageKind::Shared, i, e))?;
+            if !delta.is_empty() {
+                shared_deltas.push((stage.name, delta));
+            }
+        }
+        for (name, delta) in shared_deltas {
+            combined.push_delta(name, delta);
+        }
+        shared_ctr.add((self.views.len() + self.shared.len()) as u64);
         applies_ctr.inc();
         let mut out = Vec::with_capacity(self.answers.len());
-        for (i, answer) in self.answers.iter_mut().enumerate() {
+        for (i, (answer, seconds)) in self
+            .answers
+            .iter_mut()
+            .zip(&self.answer_seconds)
+            .enumerate()
+        {
             let delta = if combined.is_empty() {
                 DeltaSet::new()
             } else {
@@ -674,8 +501,8 @@ impl MaintainedWorkload {
                 let delta = answer
                     .maintained
                     .apply(&combined)
-                    .map_err(|e| (WorkloadFailLoc::Answer(i), e))?;
-                answer.apply_seconds.record_duration(start.elapsed());
+                    .map_err(|e| (StageKind::Answer, i, e))?;
+                seconds.record_duration(start.elapsed());
                 delta
             };
             out.push((answer.name, delta));
@@ -683,161 +510,130 @@ impl MaintainedWorkload {
         Ok(out)
     }
 
-    /// Restore every stage to a previously captured (base, views, aug)
-    /// snapshot by full rebuild (failure path only).
-    fn rollback(
-        &mut self,
-        base: &Instance,
-        views: &Instance,
-        aug: &Instance,
-    ) -> Result<(), SynthesisError> {
-        for stage in &mut self.stages {
-            stage.maintained.rebuild(base).map_err(|e| {
-                SynthesisError::Ill(format!("rollback of view {} failed: {e}", stage.name))
-            })?;
+    /// Capture the current state for a later [`restore`](Self::restore).
+    pub fn checkpoint(&self) -> Checkpoint {
+        Checkpoint {
+            base: self.base().clone(),
+            views: self.view_instance().clone(),
+            aug: self.answer_instance().clone(),
         }
-        for stage in &mut self.shared {
-            stage.maintained.rebuild(views).map_err(|e| {
-                SynthesisError::Ill(format!(
-                    "rollback of shared view {} failed: {e}",
-                    stage.name
-                ))
-            })?;
-        }
-        for answer in &mut self.answers {
-            answer.maintained.rebuild(aug).map_err(|e| {
-                SynthesisError::Ill(format!("rollback of answer {} failed: {e}", answer.name))
-            })?;
+    }
+
+    /// Restore every stage to a [`checkpoint`](Self::checkpoint) by full
+    /// rebuild.  Failure path only — the success path never pays this;
+    /// serving layers use it to unwind a batch whose publication step
+    /// failed after propagation succeeded.
+    pub fn restore(&mut self, checkpoint: &Checkpoint) -> Result<(), SynthesisError> {
+        let parts = [
+            (StageKind::View, &mut self.views, &checkpoint.base),
+            (StageKind::Shared, &mut self.shared, &checkpoint.views),
+            (StageKind::Answer, &mut self.answers, &checkpoint.aug),
+        ];
+        for (kind, stages, env) in parts {
+            for stage in stages.iter_mut() {
+                stage.maintained.rebuild(env).map_err(|e| {
+                    SynthesisError::Ill(format!("rollback of {kind} {} failed: {e}", stage.name))
+                })?;
+            }
         }
         Ok(())
     }
 
-    /// Restore the workload to a captured (base, views, aug) snapshot —
-    /// the serving layer's unwind path for failed publications.
-    pub fn restore(
-        &mut self,
-        base: &Instance,
-        views: &Instance,
-        aug: &Instance,
-    ) -> Result<(), SynthesisError> {
-        self.rollback(base, views, aug)
-    }
-
     /// Like [`MaintainedWorkload::apply`], but all-or-nothing across every
-    /// stage and every answer (validation errors never modify state and
-    /// skip the rollback).
+    /// stage and every answer: if any stage fails mid-propagation, every
+    /// materialization is restored to its pre-batch state before the error
+    /// is returned.  Validation errors ([`IvmError::is_validation`]) never
+    /// modify state, so they skip the rollback.
     pub fn apply_transactional(
         &mut self,
         batch: &UpdateBatch,
     ) -> Result<AnswerDeltas, SynthesisError> {
-        let base_before = self.base().clone();
-        let views_before = self.view_instance().clone();
-        let aug_before = self.answer_instance().clone();
-        match self.apply_inner(batch) {
-            Ok(d) => Ok(d),
-            Err((_, e)) => {
-                if !e.is_validation() {
-                    self.rollback(&base_before, &views_before, &aug_before)?;
-                }
-                Err(e.into())
+        let before = self.checkpoint();
+        self.apply_inner(batch).or_else(|(_, _, e)| {
+            if !e.is_validation() {
+                self.restore(&before)?;
             }
-        }
+            Err(e.into())
+        })
     }
 
-    /// Self-healing apply: transactional, and an operator failure degrades
-    /// the failing operator to recompute-on-dirty and retries the batch —
-    /// the workload counterpart of
-    /// [`MaintainedRewriting::apply_resilient`].
+    /// Self-healing apply: transactional, and an operator failure
+    /// additionally **degrades** the failing operator to recompute-on-dirty
+    /// (visible in [`MaintainedWorkload::coverage`]) and retries the batch
+    /// through the degraded plan.  Returns the answer deltas together with
+    /// the operators degraded while processing this batch.  Validation
+    /// errors are returned as-is — there is nothing to heal.
     pub fn apply_resilient(
         &mut self,
         batch: &UpdateBatch,
     ) -> Result<(AnswerDeltas, Vec<DegradedOperator>), SynthesisError> {
         let mut degraded = Vec::new();
         loop {
-            let base_before = self.base().clone();
-            let views_before = self.view_instance().clone();
-            let aug_before = self.answer_instance().clone();
-            match self.apply_inner(batch) {
+            let before = self.checkpoint();
+            let (kind, i, e) = match self.apply_inner(batch) {
                 Ok(d) => return Ok((d, degraded)),
-                Err((loc, e)) => {
-                    if e.is_validation() {
-                        return Err(e.into());
-                    }
-                    self.rollback(&base_before, &views_before, &aug_before)?;
-                    let Some(op) = e.operator() else {
-                        return Err(e.into());
-                    };
-                    let (owner, query) = match loc {
-                        WorkloadFailLoc::Stage(i) => {
-                            (Some(self.stages[i].name), &mut self.stages[i].maintained)
-                        }
-                        WorkloadFailLoc::Shared(i) => {
-                            (Some(self.shared[i].name), &mut self.shared[i].maintained)
-                        }
-                        WorkloadFailLoc::Answer(i) => {
-                            (Some(self.answers[i].name), &mut self.answers[i].maintained)
-                        }
-                    };
-                    if query.degraded().contains(&op) {
-                        return Err(e.into());
-                    }
-                    query.degrade(op).map_err(SynthesisError::from)?;
-                    degraded.push(DegradedOperator { view: owner, op });
-                }
+                Err(failure) => failure,
+            };
+            if e.is_validation() {
+                return Err(e.into());
             }
+            self.restore(&before)?;
+            let Some(op) = e.operator() else {
+                // no operator to blame (e.g. an internal invariant
+                // violation): degradation can't help
+                return Err(e.into());
+            };
+            let stage = match kind {
+                StageKind::View => &mut self.views[i],
+                StageKind::Shared => &mut self.shared[i],
+                StageKind::Answer => &mut self.answers[i],
+            };
+            if stage.maintained.degraded().contains(&op) {
+                // the operator failed *again* while already degraded (its
+                // recompute path is broken too): give up rather than loop
+                return Err(e.into());
+            }
+            stage.maintained.degrade(op)?;
+            degraded.push(DegradedOperator {
+                kind,
+                owner: stage.name,
+                op,
+            });
         }
     }
 
     /// Per-stage maintenance coverage across views, shared fragments and
-    /// answers.
+    /// answers, including operators degraded by
+    /// [`MaintainedWorkload::apply_resilient`].
     pub fn coverage(&self) -> WorkloadCoverage {
+        let list = |stages: &[MaintainedStage]| {
+            stages
+                .iter()
+                .map(|s| (s.name, s.maintained.coverage()))
+                .collect()
+        };
         WorkloadCoverage {
-            views: self
-                .stages
-                .iter()
-                .map(|s| (s.name, s.maintained.coverage()))
-                .collect(),
-            shared: self
-                .shared
-                .iter()
-                .map(|s| (s.name, s.maintained.coverage()))
-                .collect(),
-            answers: self
-                .answers
-                .iter()
-                .map(|a| (a.name, a.maintained.coverage()))
-                .collect(),
+            views: list(&self.views),
+            shared: list(&self.shared),
+            answers: list(&self.answers),
         }
     }
 
     /// The operators currently degraded across the workload.
     pub fn degraded_operators(&self) -> Vec<DegradedOperator> {
-        let mut out = Vec::new();
-        for stage in self.stages.iter().chain(&self.shared) {
-            out.extend(
+        self.stages()
+            .flat_map(|(kind, stage)| {
                 stage
                     .maintained
                     .degraded()
                     .iter()
-                    .map(|&op| DegradedOperator {
-                        view: Some(stage.name),
+                    .map(move |&op| DegradedOperator {
+                        kind,
+                        owner: stage.name,
                         op,
-                    }),
-            );
-        }
-        for answer in &self.answers {
-            out.extend(
-                answer
-                    .maintained
-                    .degraded()
-                    .iter()
-                    .map(|&op| DegradedOperator {
-                        view: Some(answer.name),
-                        op,
-                    }),
-            );
-        }
-        out
+                    })
+            })
+            .collect()
     }
 
     /// The maintained answers, in workload order.
@@ -858,7 +654,7 @@ impl MaintainedWorkload {
 
     /// The maintained materialization of one view or shared fragment.
     pub fn view(&self, name: &Name) -> Option<&Value> {
-        self.stages
+        self.views
             .iter()
             .chain(&self.shared)
             .find(|s| &s.name == name)
@@ -872,12 +668,12 @@ impl MaintainedWorkload {
 
     /// Number of view stages.
     pub fn view_count(&self) -> usize {
-        self.stages.len()
+        self.views.len()
     }
 
     /// The base instance at its current (post-batch) state.
     pub fn base(&self) -> &Instance {
-        self.stages
+        self.views
             .first()
             .map(|s| s.maintained.env())
             .unwrap_or_else(|| self.answer_instance())
@@ -1004,7 +800,7 @@ mod tests {
         // the insert/delete builders cancel opposite sides, so an overlap is
         // only constructible by wrapping a hand-built delta verbatim
         let batch = UpdateBatch::from_delta("S", ds);
-        let err = mv.apply_transactional(&batch).unwrap_err();
+        let err = mv.0.apply_transactional(&batch).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1019,14 +815,32 @@ mod tests {
         );
         assert!(mv.cross_check(&result).unwrap());
         // a healthy pipeline is fully incremental with nothing degraded
-        assert!(mv.coverage().fully_incremental());
-        assert!(mv.degraded_operators().is_empty());
+        assert!(mv.0.coverage().fully_incremental());
+        assert!(mv.0.degraded_operators().is_empty());
         // and a resilient apply of a good batch degrades nothing
         let mut good = UpdateBatch::new();
         good.insert("S", Value::atom(7777));
         let (_, degraded) = mv.apply_resilient(&good).expect("resilient apply");
         assert!(degraded.is_empty());
         assert!(mv.cross_check(&result).unwrap());
+    }
+
+    #[test]
+    fn degraded_operators_name_their_stage_kind() {
+        let op = |kind, owner: &str| DegradedOperator {
+            kind,
+            owner: Name::new(owner),
+            op: 3,
+        };
+        assert_eq!(op(StageKind::View, "V1").to_string(), "view V1 operator #3");
+        assert_eq!(
+            op(StageKind::Shared, "__shared#0").to_string(),
+            "shared __shared#0 operator #3"
+        );
+        assert_eq!(
+            op(StageKind::Answer, "q1").to_string(),
+            "answer q1 operator #3"
+        );
     }
 
     #[test]
@@ -1077,38 +891,6 @@ mod tests {
                 "diverged from the naive oracle at step {i}"
             );
         }
-    }
-
-    #[test]
-    fn workload_maintains_each_shared_view_once_per_apply() {
-        let problem = crate::workload::overlapping_workload_problem(4);
-        let rewriting = problem
-            .derive_workload(&SynthesisConfig::default())
-            .expect("workload rewriting exists");
-        assert!(
-            mw_shared_count(&rewriting) > 0,
-            "the fixture must produce at least one shared fragment"
-        );
-        let base = partition_instance(16, 5);
-        let mut mw = MaintainedWorkload::new(&rewriting, &base).expect("materialize");
-        let per_apply = (mw.view_count() + mw.shared_count()) as u64;
-        let counter = nrs_obs::global().counter("ivm.views_shared_total");
-        for i in 0..5u64 {
-            let before = counter.get();
-            let mut batch = UpdateBatch::new();
-            batch.insert("S", Value::atom(900 + i));
-            mw.apply(&batch).expect("apply");
-            assert_eq!(
-                counter.get() - before,
-                per_apply,
-                "each view and shared fragment is maintained exactly once per apply"
-            );
-        }
-        assert!(mw.cross_check(&rewriting).unwrap());
-    }
-
-    fn mw_shared_count(rewriting: &WorkloadRewriting) -> usize {
-        rewriting.shared().views.len()
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub mod workload;
 
 pub use collect::{collect_parameters, CollectInput, CollectOutput};
 pub use ivm::{
-    AnswerDeltas, DegradedOperator, MaintainedRewriting, MaintainedView, MaintainedWorkload,
-    RewritingCoverage, WorkloadCoverage,
+    AnswerDeltas, Checkpoint, DegradedOperator, MaintainedRewriting, MaintainedView,
+    MaintainedWorkload, RewritingCoverage, StageKind, WorkloadCoverage,
 };
 pub use nrs_ivm::{CoverageReport, DeltaSet, IvmError, MaintStats, UpdateBatch};
 pub use synthesis::{

@@ -691,6 +691,40 @@ impl WorkloadRewriting {
     }
 }
 
+impl From<&crate::views::RewritingResult> for WorkloadRewriting {
+    /// A single rewriting as a one-query workload: the same problem with
+    /// its query as the only entry, and a shared view set with no shared
+    /// fragments whose one answer is the rewriting's expression — so
+    /// maintaining it compiles exactly that expression.
+    fn from(result: &crate::views::RewritingResult) -> WorkloadRewriting {
+        let problem = &result.problem;
+        let name = problem.query.name;
+        let report = &result.definition.report;
+        WorkloadRewriting {
+            problem: WorkloadProblem {
+                base: problem.base.clone(),
+                views: problem.views.clone(),
+                constraints: problem.constraints.clone(),
+                queries: vec![problem.query.clone()],
+            },
+            synthesis: WorkloadSynthesis {
+                definitions: vec![(name, result.definition.clone())],
+                shared: SharedViewSet {
+                    views: Vec::new(),
+                    queries: vec![(name, result.expr().clone())],
+                    fragments_collapsed: 0,
+                },
+                report: WorkloadReport {
+                    entries: 1,
+                    goals_recorded: report.goals_proved,
+                    shared_goals_dedup: 0,
+                    synthesis: report.clone(),
+                },
+            },
+        }
+    }
+}
+
 /// A workload of `n` overlapping queries over the partition views (the
 /// fixture of the E10 benches and the workload tests): base `S, F`, views
 /// `V1 = S ∩ F`, `V2 = S \ F`, and queries cycling through `S` (the whole

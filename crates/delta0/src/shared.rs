@@ -1,20 +1,11 @@
-//! Hash-consed shared syntax nodes — re-exported from [`nrs_shared`].
-//!
-//! The implementation originally lived here; it was lifted into the
-//! `nrs-shared` crate so the first-order layer (`nrs-fol`) can cons its
-//! formulas through the same machinery.  Everything is re-exported under the
-//! old paths, so `nrs_delta0::shared::Shared` and `nrs_delta0::intern_stats`
-//! keep working unchanged.
-
-pub use nrs_shared::{
-    empty_name_set, intern_stats, union_name_sets, HashConsed, InternStats, InternTable, Node,
-    Shared,
-};
+//! Tests of the hash-consed node sharing Δ0 formulas and terms get from
+//! [`nrs_shared`]: structurally equal nodes are interned once, the interner
+//! counts its hits and misses, and free-variable sets are cached per node.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::{Formula, Term};
+    use nrs_shared::{empty_name_set, intern_stats, union_name_sets};
     use nrs_value::Name;
     use std::collections::BTreeSet;
     use std::sync::Arc;

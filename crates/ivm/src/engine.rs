@@ -40,20 +40,14 @@
 //! outward degrades a single later update to one copy-on-write, exactly like
 //! any persistent structure.
 //!
-//! ### Sharded parallel maintenance
+//! ### Evaluation rounds
 //!
 //! The expensive part of a `ForUnion`/`HashJoin` delta round is **pure**:
 //! re-evaluating loop bodies for affected members, evaluating join bodies
-//! for matching pairs.  With [`MaintainedQuery::set_workers`] above 1, each
-//! round splits its work items (members, delta tuples — already in key
-//! order, so chunks are contiguous key ranges) across `std::thread::scope`
-//! workers for the evaluations only, then replays all cache/index/count
-//! mutations **sequentially in the original item order**.  The maintained
-//! state after a parallel round is therefore *bit-identical* to the
-//! sequential round by construction — the only thing parallelism changes is
-//! which thread computed a pure value (property-tested in
-//! `tests/maintenance_equivalence.rs`).  Per-round shard counters are
-//! reported through [`MaintainedQuery::maint_stats`].
+//! for matching pairs.  Each round first evaluates its work items (members,
+//! delta tuples — in key order), then replays all cache/index/count
+//! mutations in that order.  Per-round counters (rounds run, members
+//! touched) are reported through [`MaintainedQuery::maint_stats`].
 
 use crate::batch::{DeltaSet, UpdateBatch};
 use crate::IvmError;
@@ -66,18 +60,13 @@ use std::time::Instant;
 /// Cached handles into the global [`nrs_obs`] registry.  The counters mirror
 /// [`MaintStats`] (per-apply deltas are folded in at the end of
 /// [`MaintainedQuery::apply`]); the histograms carry apply latency and
-/// shard-phase timing.
+/// batch size.
 struct ObsMetrics {
     applies: Arc<nrs_obs::Counter>,
     rounds: Arc<nrs_obs::Counter>,
-    parallel_rounds: Arc<nrs_obs::Counter>,
-    sharded_items: Arc<nrs_obs::Counter>,
-    shards_dispatched: Arc<nrs_obs::Counter>,
     touched_members: Arc<nrs_obs::Counter>,
     apply_seconds: Arc<nrs_obs::Histogram>,
     delta_tuples: Arc<nrs_obs::Histogram>,
-    shard_eval_seconds: Arc<nrs_obs::Histogram>,
-    shard_merge_seconds: Arc<nrs_obs::Histogram>,
 }
 
 fn obs() -> &'static ObsMetrics {
@@ -87,14 +76,9 @@ fn obs() -> &'static ObsMetrics {
         ObsMetrics {
             applies: r.counter("ivm.applies_total"),
             rounds: r.counter("ivm.rounds_total"),
-            parallel_rounds: r.counter("ivm.parallel_rounds_total"),
-            sharded_items: r.counter("ivm.sharded_items_total"),
-            shards_dispatched: r.counter("ivm.shards_dispatched_total"),
             touched_members: r.counter("ivm.touched_members_total"),
             apply_seconds: r.timer("ivm.apply_seconds"),
             delta_tuples: r.histogram("ivm.delta_tuples"),
-            shard_eval_seconds: r.timer("ivm.shard_eval_seconds"),
-            shard_merge_seconds: r.timer("ivm.shard_merge_seconds"),
         }
     })
 }
@@ -139,41 +123,25 @@ pub struct MaintainedQuery {
     env: Instance,
     /// Preorder indices forced to the recompute-on-dirty fallback.
     degraded: BTreeSet<usize>,
-    /// Worker threads for the pure evaluation phase of delta rounds (1 =
-    /// fully sequential, the default).
-    workers: usize,
-    /// Cumulative shard/round counters (see [`MaintStats`]).
+    /// Cumulative round counters (see [`MaintStats`]).
     stats: MaintStats,
 }
 
-/// Cumulative counters of the sharded-parallel evaluation rounds of one
-/// [`MaintainedQuery`] (or, summed by the serving layer, one maintained
-/// rewriting).  Snapshot before and after a workload and subtract to
-/// attribute rounds to it.
+/// Cumulative counters of the evaluation rounds of one [`MaintainedQuery`]
+/// (or, summed by the serving layer, one maintained workload).  Snapshot
+/// before and after a workload and subtract to attribute rounds to it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintStats {
-    /// Evaluation rounds executed (parallel-eligible operator phases, both
-    /// the ones that fanned out and the ones that ran inline).
+    /// Evaluation rounds executed (one per `ForUnion`/`HashJoin` delta
+    /// phase that evaluated its work items).
     pub rounds: u64,
-    /// Rounds that actually dispatched work to >1 worker.
-    pub parallel_rounds: u64,
-    /// Work items (members / delta tuples) evaluated inside parallel rounds.
-    pub sharded_items: u64,
-    /// Contiguous key-range chunks handed to workers across all parallel
-    /// rounds.
-    pub shards_dispatched: u64,
-    /// Work items (members / delta tuples) evaluated across **all** rounds,
-    /// sequential ones included — `sharded_items` is the subset that ran on
-    /// parallel workers.
+    /// Work items (members / delta tuples) evaluated across all rounds.
     pub touched_members: u64,
 }
 
 impl std::ops::AddAssign for MaintStats {
     fn add_assign(&mut self, rhs: MaintStats) {
         self.rounds += rhs.rounds;
-        self.parallel_rounds += rhs.parallel_rounds;
-        self.sharded_items += rhs.sharded_items;
-        self.shards_dispatched += rhs.shards_dispatched;
         self.touched_members += rhs.touched_members;
     }
 }
@@ -184,11 +152,6 @@ impl std::ops::Sub for MaintStats {
     fn sub(self, before: MaintStats) -> MaintStats {
         MaintStats {
             rounds: self.rounds.saturating_sub(before.rounds),
-            parallel_rounds: self.parallel_rounds.saturating_sub(before.parallel_rounds),
-            sharded_items: self.sharded_items.saturating_sub(before.sharded_items),
-            shards_dispatched: self
-                .shards_dispatched
-                .saturating_sub(before.shards_dispatched),
             touched_members: self.touched_members.saturating_sub(before.touched_members),
         }
     }
@@ -221,25 +184,11 @@ impl MaintainedQuery {
             root,
             env,
             degraded,
-            workers: 1,
             stats: MaintStats::default(),
         })
     }
 
-    /// Use up to `workers` threads for the pure evaluation phase of delta
-    /// rounds (clamped to ≥ 1; 1 disables fan-out).  The maintained state
-    /// is bit-identical for every worker count — see the module docs — so
-    /// this is purely a throughput knob.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// The configured evaluation worker count.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Cumulative sharded-round counters since construction.
+    /// Cumulative round counters since construction.
     pub fn maint_stats(&self) -> MaintStats {
         self.stats
     }
@@ -273,10 +222,7 @@ impl MaintainedQuery {
         // treap's reference so the copy-on-write mutation is O(|Δ| log n)
         // once the maintained query owns its sets (the first batch after an
         // external share pays one copy, as any persistent update would).
-        let mut ctx = Ctx {
-            workers: self.workers,
-            ..Ctx::default()
-        };
+        let mut ctx = Ctx::default();
         for (name, delta) in normalized.relations() {
             let old = self
                 .env
@@ -303,9 +249,6 @@ impl MaintainedQuery {
         let applied = self.stats - stats_before;
         m.applies.inc();
         m.rounds.add(applied.rounds);
-        m.parallel_rounds.add(applied.parallel_rounds);
-        m.sharded_items.add(applied.sharded_items);
-        m.shards_dispatched.add(applied.shards_dispatched);
         m.touched_members.add(applied.touched_members);
         m.delta_tuples.record(delta_tuples as u64);
         m.apply_seconds.record_duration(apply_start.elapsed());
@@ -620,92 +563,31 @@ struct NameChange {
 }
 
 /// The per-round update context: base relations changed by the batch plus
-/// `Let`-bound names changed by their maintained subplans, the evaluation
-/// worker count, and the round's shard counters.
+/// `Let`-bound names changed by their maintained subplans, and the round
+/// counters.
 #[derive(Default)]
 struct Ctx {
     changes: HashMap<Name, NameChange>,
-    workers: usize,
     stats: MaintStats,
 }
 
 /// Run the pure evaluation phase of a delta round: `f` over every item, in
-/// order, returning `(item, f(item))` pairs.  With more than one worker and
-/// enough items, the items are split into contiguous chunks (key ranges —
-/// callers pass them in sorted order) evaluated on `std::thread::scope`
-/// workers; `f` must be pure, and the caller replays all state mutations
-/// sequentially from the returned pairs, which is what keeps parallel
-/// rounds bit-identical to sequential ones.
-///
-/// Error semantics match the sequential loop: the error of the *earliest*
-/// failing item is returned (chunks stop at their first failure and chunks
-/// are ordered, so the first failing chunk holds the globally first
-/// failure).  A panicking worker is reported as [`IvmError::Internal`].
-/// The `ivm.shard.dispatch` / `ivm.shard.merge` fault sites fire on the
-/// calling thread, and only when a round actually fans out.
-fn par_eval<T, R>(
+/// order, returning `(item, f(item))` pairs (stopping at the first error).
+/// The caller replays all state mutations from the returned pairs.
+fn eval_round<T, R>(
     ctx: &mut Ctx,
     items: Vec<T>,
-    f: impl Fn(&T) -> Result<R, IvmError> + Sync,
-) -> Result<Vec<(T, R)>, IvmError>
-where
-    T: Send + Sync,
-    R: Send,
-{
+    f: impl Fn(&T) -> Result<R, IvmError>,
+) -> Result<Vec<(T, R)>, IvmError> {
     ctx.stats.rounds += 1;
     ctx.stats.touched_members += items.len() as u64;
-    if ctx.workers < 2 || items.len() < 2 {
-        // the single-worker engine's exact code path
-        return items
-            .into_iter()
-            .map(|t| {
-                let r = f(&t)?;
-                Ok((t, r))
-            })
-            .collect();
-    }
-    crate::fault::hit("ivm.shard.dispatch")?;
-    let eval_start = Instant::now();
-    let chunk_len = items.len().div_ceil(ctx.workers);
-    let mut chunk_results: Vec<Result<Vec<R>, IvmError>> = std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk_len)
-            .map(|chunk| scope.spawn(move || chunk.iter().map(f).collect::<Result<Vec<R>, _>>()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|_| {
-                    Err(IvmError::Internal(
-                        "maintenance evaluation worker panicked".into(),
-                    ))
-                })
-            })
-            .collect()
-    });
-    ctx.stats.parallel_rounds += 1;
-    ctx.stats.sharded_items += items.len() as u64;
-    ctx.stats.shards_dispatched += chunk_results.len() as u64;
-    obs()
-        .shard_eval_seconds
-        .record_duration(eval_start.elapsed());
-    crate::fault::hit("ivm.shard.merge")?;
-    let merge_start = Instant::now();
-    let mut out = Vec::with_capacity(items.len());
-    let mut items = items.into_iter();
-    for res in chunk_results.drain(..) {
-        for r in res? {
-            let t = items.next().ok_or_else(|| {
-                IvmError::Internal("shard merge produced more results than items".into())
-            })?;
-            out.push((t, r));
-        }
-    }
-    obs()
-        .shard_merge_seconds
-        .record_duration(merge_start.elapsed());
-    Ok(out)
+    items
+        .into_iter()
+        .map(|t| {
+            let r = f(&t)?;
+            Ok((t, r))
+        })
+        .collect()
 }
 
 /// What a node reports about its output after an update round.
@@ -1466,9 +1348,8 @@ impl ForUnionState {
         }
         // 2. members whose cached body a probe delta invalidates: exactly
         //    the delta's own elements (the probe needle is the member).
-        //    Body evaluations are pure, so they run as one (possibly
-        //    parallel) round; the cache/count mutations replay in member
-        //    order below.
+        //    Body evaluations are pure, so they run as one round; the
+        //    cache/count mutations replay in member order below.
         let mut affected: BTreeSet<Value> = BTreeSet::new();
         for n in &self.probe_deps {
             if let Some(NameChange { delta: Some(d), .. }) = ctx.changes.get(n) {
@@ -1480,7 +1361,7 @@ impl ForUnionState {
             }
         }
         let (body, var) = (&self.body, self.var);
-        let evals = par_eval(ctx, affected.into_iter().collect(), |m| {
+        let evals = eval_round(ctx, affected.into_iter().collect(), |m| {
             Ok(exec_plan(body, &env.with(var, m.clone()))?)
         })?;
         for (m, new_body) in evals {
@@ -1500,9 +1381,9 @@ impl ForUnionState {
             self.cache.insert(m, new_body);
         }
         // 3. members entering the loop: evaluate their bodies fresh (same
-        //    eval round / sequential merge split)
+        //    evaluate-then-replay split)
         if let Some(d) = &over_delta {
-            let evals = par_eval(ctx, d.inserts.iter().cloned().collect(), |m| {
+            let evals = eval_round(ctx, d.inserts.iter().cloned().collect(), |m| {
                 Ok(exec_plan(body, &env.with(var, m.clone()))?)
             })?;
             for (m, body_v) in evals {
@@ -1590,8 +1471,8 @@ impl HashJoinState {
         // Each bilinear part's evaluations (key + matching body values) read
         // only the index the part never mutates — part 1 reads `rindex`
         // (mutated in part 2 only), part 2 reads the post-part-1 `lindex` —
-        // so they run as one pure (possibly parallel) round per part, and
-        // the index/count mutations replay sequentially in delta order.
+        // so they run as one pure round per part, and the index/count
+        // mutations replay in delta order.
         //
         // Bilinear rule, part 1: Δleft against the *old* build side.
         if let Some(d) = &dl {
@@ -1599,7 +1480,7 @@ impl HashJoinState {
             let items: Vec<Value> = d.deletes.iter().chain(d.inserts.iter()).cloned().collect();
             let (lkey, lvar, rvar, body, rindex) =
                 (&self.lkey, self.lvar, self.rvar, &self.body, &self.rindex);
-            let evals = par_eval(ctx, items, |x| {
+            let evals = eval_round(ctx, items, |x| {
                 let k = bound_exec1(lkey, lvar, x, env)?;
                 let mut elems = Vec::new();
                 if let Some(matches) = rindex.get(&k) {
@@ -1634,7 +1515,7 @@ impl HashJoinState {
             let items: Vec<Value> = d.deletes.iter().chain(d.inserts.iter()).cloned().collect();
             let (rkey, lvar, rvar, body, lindex) =
                 (&self.rkey, self.lvar, self.rvar, &self.body, &self.lindex);
-            let evals = par_eval(ctx, items, |y| {
+            let evals = eval_round(ctx, items, |y| {
                 let k = bound_exec1(rkey, rvar, y, env)?;
                 let mut elems = Vec::new();
                 if let Some(matches) = lindex.get(&k) {

@@ -586,7 +586,7 @@ pub(crate) fn prove_sequent_inner(
             GoalOutcome::Failed(msg) => Err(ProofError::BudgetExhausted(msg)),
         };
     }
-    let interner_before = nrs_delta0::intern_stats();
+    let interner_before = nrs_shared::intern_stats();
     let memo_before = caches.memo.stats();
     let start = Instant::now();
     let mut st = State {
@@ -620,7 +620,7 @@ pub(crate) fn prove_sequent_inner(
         level_span.record("proved", outcome.is_some());
         drop(level_span);
         if let Some(proof) = outcome {
-            let interner_after = nrs_delta0::intern_stats();
+            let interner_after = nrs_shared::intern_stats();
             let stats = ProverStats {
                 visited: st.visited,
                 risky_level: level,

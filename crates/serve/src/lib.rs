@@ -2,9 +2,10 @@
 //!
 //! Fault-tolerant, pipelined serving of maintained rewritings.
 //!
-//! The synthesis pipeline ends with a [`MaintainedRewriting`]: views and
-//! answer kept incrementally up to date under base updates.  This crate
-//! wraps that engine in the machinery a long-running service needs:
+//! The synthesis pipeline ends with a [`MaintainedWorkload`]: views, shared
+//! fragments and every query answer kept incrementally up to date under
+//! base updates (a single rewriting is a workload of one answer).  This
+//! crate wraps that engine in the machinery a long-running service needs:
 //!
 //! * **Epoch-published snapshots.**  Readers never lock against writers: a
 //!   [`ViewServer`] publishes an [`Arc<Snapshot>`] per successfully applied
@@ -22,12 +23,6 @@
 //!   single exact net batch ([`UpdateBatch::coalesce_exact`]) and the
 //!   engine pass plus snapshot publication are amortized across the whole
 //!   batch.
-//! * **Sharded parallel maintenance.**  With [`ServerConfig::workers`] > 1
-//!   the engine partitions each operator's delta work into contiguous
-//!   key-range shards evaluated on scoped worker threads and merged
-//!   deterministically — maintained state is bit-identical to the
-//!   sequential path.  Per-flush round/shard counters are surfaced in
-//!   [`FlushReport`].
 //! * **Transactional application with graceful degradation.**  A batch
 //!   either applies completely — every view, the answer, and a new published
 //!   epoch — or not at all.  An operator failure mid-propagation rolls the
@@ -49,7 +44,7 @@
 //!  submit ──▶ (validate) ─▶│ VecDeque,  │─ max_batch ▶│ coalesce +  │
 //!     ⋮           ⋮        │ bounded,   │             │ exactness,  │─▶ publish
 //!  submit ──▶ (validate) ─▶│ 2 condvars │             │ apply       │   epoch n+1
-//!                ▲         └────────────┘             │ (sharded)   │
+//!                ▲         └────────────┘             │             │
 //!                │ full → Backpressure / block        └─────────────┘
 //!                └─ space signalled per flush          readers: snapshot()
 //! ```
@@ -75,9 +70,9 @@
 use nrs_ivm::fault;
 use nrs_proof::ProofError;
 use nrs_synthesis::{
-    AnswerDeltas, CoverageReport, DegradedOperator, DeltaSet, IvmError, MaintStats,
-    MaintainedRewriting, MaintainedWorkload, RewritingCoverage, RewritingResult, SynthesisError,
-    UpdateBatch, WorkloadCoverage, WorkloadRewriting,
+    CoverageReport, DegradedOperator, DeltaSet, IvmError, MaintStats, MaintainedWorkload,
+    RewritingCoverage, RewritingResult, SynthesisError, UpdateBatch, WorkloadCoverage,
+    WorkloadRewriting,
 };
 use nrs_value::{Instance, Name, Schema, Value};
 use std::collections::VecDeque;
@@ -292,10 +287,6 @@ pub struct ServerConfig {
     /// arrival before flushing (it flushes early when `max_batch` is
     /// reached).  Also the writer's idle poll interval for shutdown.
     pub batch_window: Duration,
-    /// Worker threads for the engine's sharded parallel delta evaluation
-    /// (1 = fully sequential).  Results are bit-identical either way; see
-    /// `nrs_ivm::MaintainedQuery::set_workers`.
-    pub workers: usize,
 }
 
 impl Default for ServerConfig {
@@ -304,7 +295,6 @@ impl Default for ServerConfig {
             queue_capacity: 1024,
             max_batch: 256,
             batch_window: Duration::from_millis(1),
-            workers: 1,
         }
     }
 }
@@ -315,8 +305,8 @@ impl Default for ServerConfig {
 /// shared.
 ///
 /// A single-query server publishes one named answer; a workload server
-/// ([`ViewServer::serve_workload`]) publishes one answer per query, all
-/// from the same epoch.
+/// ([`ViewServerBuilder::serve_workload`]) publishes one answer per query,
+/// all from the same epoch.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Publication counter: epoch `n+1` is epoch `n` plus exactly one
@@ -386,10 +376,8 @@ pub struct FlushReport {
     /// Tuples (inserts + deletes) in the coalesced net batch actually
     /// driven through the engine — round trips cancel out before this.
     pub updates: usize,
-    /// Worker threads the engine was configured with for this flush.
-    pub workers: usize,
-    /// Engine round/shard counters attributed to this flush (how many
-    /// evaluation rounds ran, how many fanned out, items and shards).
+    /// Engine round counters attributed to this flush (evaluation rounds
+    /// run and members touched).
     pub maint: MaintStats,
     /// **Cumulative** batches this server has dropped over its lifetime
     /// (drops happen only on *failed* flushes — a validation failure of
@@ -400,150 +388,9 @@ pub struct FlushReport {
     pub dropped_batches: u64,
 }
 
-/// The maintenance engine behind a server: one rewriting, or a whole
-/// workload with a shared view set.  Every pipeline call site goes through
-/// this enum, so the flush path is identical for both shapes.
-enum Engine {
-    Single {
-        maintained: Box<MaintainedRewriting>,
-        query: Name,
-    },
-    Workload(MaintainedWorkload),
-}
-
-/// A pre-batch state capture, sufficient to [`Engine::restore`] after a
-/// failed publication.
-struct EngineBackup {
-    base: Instance,
-    views: Instance,
-    /// Workload engines additionally need the views + shared instance the
-    /// answers are maintained over.
-    aug: Option<Instance>,
-}
-
-impl Engine {
-    fn set_workers(&mut self, workers: usize) {
-        match self {
-            Engine::Single { maintained, .. } => maintained.set_workers(workers),
-            Engine::Workload(w) => w.set_workers(workers),
-        }
-    }
-
-    fn maint_stats(&self) -> MaintStats {
-        match self {
-            Engine::Single { maintained, .. } => maintained.maint_stats(),
-            Engine::Workload(w) => w.maint_stats(),
-        }
-    }
-
-    /// Self-healing transactional apply, normalized to per-query deltas.
-    fn apply_resilient(
-        &mut self,
-        batch: &UpdateBatch,
-    ) -> Result<(AnswerDeltas, Vec<DegradedOperator>), SynthesisError> {
-        match self {
-            Engine::Single { maintained, query } => {
-                let (delta, degraded) = maintained.apply_resilient(batch)?;
-                Ok((vec![(*query, delta)], degraded))
-            }
-            Engine::Workload(w) => w.apply_resilient(batch),
-        }
-    }
-
-    fn backup(&self) -> EngineBackup {
-        match self {
-            Engine::Single { maintained, .. } => EngineBackup {
-                base: maintained.base().clone(),
-                views: maintained.view_instance().clone(),
-                aug: None,
-            },
-            Engine::Workload(w) => EngineBackup {
-                base: w.base().clone(),
-                views: w.view_instance().clone(),
-                aug: Some(w.answer_instance().clone()),
-            },
-        }
-    }
-
-    fn restore(&mut self, backup: &EngineBackup) -> Result<(), SynthesisError> {
-        match self {
-            Engine::Single { maintained, .. } => maintained.restore(&backup.base, &backup.views),
-            Engine::Workload(w) => w.restore(
-                &backup.base,
-                &backup.views,
-                backup.aug.as_ref().unwrap_or(&backup.views),
-            ),
-        }
-    }
-
-    fn base(&self) -> &Instance {
-        match self {
-            Engine::Single { maintained, .. } => maintained.base(),
-            Engine::Workload(w) => w.base(),
-        }
-    }
-
-    /// The instance snapshots expose as "views": the view materializations
-    /// for a single rewriting, views **plus shared fragments** for a
-    /// workload.
-    fn published_views(&self) -> &Instance {
-        match self {
-            Engine::Single { maintained, .. } => maintained.view_instance(),
-            Engine::Workload(w) => w.answer_instance(),
-        }
-    }
-
-    fn answers(&self) -> Vec<(Name, Value)> {
-        match self {
-            Engine::Single { maintained, query } => vec![(*query, maintained.answer().clone())],
-            Engine::Workload(w) => w
-                .answers()
-                .into_iter()
-                .map(|(n, v)| (n, v.clone()))
-                .collect(),
-        }
-    }
-
-    fn degraded_operators(&self) -> Vec<DegradedOperator> {
-        match self {
-            Engine::Single { maintained, .. } => maintained.degraded_operators(),
-            Engine::Workload(w) => w.degraded_operators(),
-        }
-    }
-
-    /// Coverage in the single-rewriting shape (the workload's shared
-    /// fragments are folded into the view list; its first answer stands for
-    /// `answer`).  [`Engine::workload_coverage`] has the full per-query
-    /// picture.
-    fn coverage(&self) -> RewritingCoverage {
-        match self {
-            Engine::Single { maintained, .. } => maintained.coverage(),
-            Engine::Workload(w) => {
-                let wc = w.coverage();
-                let mut views = wc.views;
-                views.extend(wc.shared);
-                let answer = wc
-                    .answers
-                    .into_iter()
-                    .next()
-                    .map(|(_, c)| c)
-                    .expect("a workload has at least one query");
-                RewritingCoverage { views, answer }
-            }
-        }
-    }
-
-    fn workload_coverage(&self) -> Option<WorkloadCoverage> {
-        match self {
-            Engine::Single { .. } => None,
-            Engine::Workload(w) => Some(w.coverage()),
-        }
-    }
-}
-
 /// The writer-side state: the live engine plus the epoch counter.
 struct ServerState {
-    maintained: Engine,
+    maintained: MaintainedWorkload,
     epoch: u64,
 }
 
@@ -661,7 +508,7 @@ impl std::fmt::Debug for WriterHandle {
     }
 }
 
-/// A serving wrapper around a [`MaintainedRewriting`]: validated bounded
+/// A serving wrapper around a [`MaintainedWorkload`]: validated bounded
 /// ingest, transactional coalesced batch application, epoch-published
 /// snapshots, graceful degradation.  See the crate docs for the pipeline
 /// and its guarantees.
@@ -686,15 +533,14 @@ pub struct ViewServer {
     last_drop: Mutex<Option<NrsError>>,
 }
 
-/// Fluent construction of a [`ViewServer`]: one path owns what used to be
-/// spread across hand-built [`ServerConfig`]s, [`ViewServer::new`] /
-/// [`ViewServer::with_config`] and a separate [`ViewServer::start`] call.
+/// Fluent construction of a [`ViewServer`]: configuration knobs, then the
+/// rewriting or workload to serve, optionally starting the writer thread
+/// ([`ViewServer::start`]) in the same call.
 ///
 /// ```no_run
 /// # use nrs_serve::ViewServer;
 /// # fn demo(result: &nrs_synthesis::RewritingResult, base: &nrs_value::Instance) {
 /// let (server, writer) = ViewServer::builder()
-///     .workers(2)
 ///     .max_batch(64)
 ///     .spawn(result, base)
 ///     .unwrap();
@@ -730,19 +576,10 @@ impl ViewServerBuilder {
         self
     }
 
-    /// See [`ServerConfig::workers`].
-    pub fn workers(mut self, workers: usize) -> ViewServerBuilder {
-        self.config.workers = workers;
-        self
-    }
-
-    /// Materialize a single rewriting over `base` and publish epoch 0.
+    /// Materialize a single rewriting over `base` — a workload of one
+    /// answer, named after the query — and publish epoch 0.
     pub fn serve(self, result: &RewritingResult, base: &Instance) -> Result<ViewServer, NrsError> {
-        nrs_obs::init_from_env();
-        let schema = result.problem.base_schema()?;
-        let query = result.problem.query.name;
-        let maintained = Box::new(MaintainedRewriting::new(result, base)?);
-        ViewServer::from_engine(Engine::Single { maintained, query }, schema, self.config)
+        self.serve_workload(&result.into(), base)
     }
 
     /// Materialize a whole multi-query workload over `base` — every shared
@@ -761,7 +598,23 @@ impl ViewServerBuilder {
         }
         let schema = rewriting.problem.base_schema()?;
         let maintained = MaintainedWorkload::new(rewriting, base)?;
-        ViewServer::from_engine(Engine::Workload(maintained), schema, self.config)
+        let snapshot = Arc::new(ViewServer::capture(&maintained, 0));
+        Ok(ViewServer {
+            schema,
+            config: self.config,
+            state: Mutex::new(ServerState {
+                maintained,
+                epoch: 0,
+            }),
+            published: RwLock::new(snapshot),
+            ingest: Ingest {
+                queue: Mutex::new(VecDeque::new()),
+                arrival: Condvar::new(),
+                space: Condvar::new(),
+            },
+            dropped: AtomicU64::new(0),
+            last_drop: Mutex::new(None),
+        })
     }
 
     /// [`serve`](Self::serve) plus [`ViewServer::start`]: returns the
@@ -795,59 +648,6 @@ impl ViewServer {
     /// `spawn` variants to also start the writer thread).
     pub fn builder() -> ViewServerBuilder {
         ViewServerBuilder::default()
-    }
-
-    /// Materialize `result` over `base` and publish epoch 0, with the
-    /// default [`ServerConfig`].  Delegates to [`ViewServer::builder`].
-    pub fn new(result: &RewritingResult, base: &Instance) -> Result<ViewServer, NrsError> {
-        Self::builder().serve(result, base)
-    }
-
-    /// Materialize `result` over `base` and publish epoch 0, with explicit
-    /// pipeline knobs.  Delegates to [`ViewServer::builder`].
-    pub fn with_config(
-        result: &RewritingResult,
-        base: &Instance,
-        config: ServerConfig,
-    ) -> Result<ViewServer, NrsError> {
-        Self::builder().config(config).serve(result, base)
-    }
-
-    /// Serve a multi-query workload with the default [`ServerConfig`]: one
-    /// epoch per flush covering every named answer, each shared view
-    /// maintained exactly once per batch.  Delegates to
-    /// [`ViewServer::builder`].
-    pub fn serve_workload(
-        rewriting: &WorkloadRewriting,
-        base: &Instance,
-    ) -> Result<ViewServer, NrsError> {
-        Self::builder().serve_workload(rewriting, base)
-    }
-
-    /// Shared tail of every construction path.
-    fn from_engine(
-        mut maintained: Engine,
-        schema: Schema,
-        config: ServerConfig,
-    ) -> Result<ViewServer, NrsError> {
-        maintained.set_workers(config.workers);
-        let snapshot = Arc::new(Self::capture(&maintained, 0));
-        Ok(ViewServer {
-            schema,
-            config,
-            state: Mutex::new(ServerState {
-                maintained,
-                epoch: 0,
-            }),
-            published: RwLock::new(snapshot),
-            ingest: Ingest {
-                queue: Mutex::new(VecDeque::new()),
-                arrival: Condvar::new(),
-                space: Condvar::new(),
-            },
-            dropped: AtomicU64::new(0),
-            last_drop: Mutex::new(None),
-        })
     }
 
     /// The schema incoming batches are validated against.
@@ -1101,7 +901,6 @@ impl ViewServer {
                 degraded: Vec::new(),
                 batches: 0,
                 updates: 0,
-                workers: self.config.workers,
                 maint: MaintStats::default(),
                 dropped_batches: self.dropped_batches(),
             });
@@ -1133,7 +932,7 @@ impl ViewServer {
         drop(coalesce_span);
         // capture the pre-batch state: propagation can roll itself back, but
         // a publish-site failure below must unwind manually
-        let backup = st.maintained.backup();
+        let backup = st.maintained.checkpoint();
         let maint_before = st.maintained.maint_stats();
         let mut maintain_span = nrs_obs::span("serve.maintain");
         let maintain_start = Instant::now();
@@ -1182,7 +981,6 @@ impl ViewServer {
             degraded,
             batches: drained.len(),
             updates: combined.len(),
-            workers: self.config.workers,
             maint: st.maintained.maint_stats() - maint_before,
             dropped_batches: self.dropped_batches(),
         })
@@ -1200,22 +998,17 @@ impl ViewServer {
     /// server folds its shared fragments into the view list and reports its
     /// first answer; [`workload_coverage`][ViewServer::workload_coverage]
     /// has the full per-query picture.
-    pub fn coverage(&self) -> nrs_synthesis::RewritingCoverage {
+    pub fn coverage(&self) -> RewritingCoverage {
+        self.workload_coverage().into()
+    }
+
+    /// Full per-query coverage (views, shared fragments, every answer).
+    pub fn workload_coverage(&self) -> WorkloadCoverage {
         self.state
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .maintained
             .coverage()
-    }
-
-    /// Full per-query coverage of a workload server (views, shared
-    /// fragments, every answer); `None` for a single-query server.
-    pub fn workload_coverage(&self) -> Option<WorkloadCoverage> {
-        self.state
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .maintained
-            .workload_coverage()
     }
 
     /// Coverage of the answer query alone.
@@ -1232,7 +1025,7 @@ impl ViewServer {
             .degraded_operators()
     }
 
-    /// Cumulative engine round/shard counters (see `nrs_ivm::MaintStats`).
+    /// Cumulative engine round counters (see `nrs_ivm::MaintStats`).
     pub fn maint_stats(&self) -> MaintStats {
         self.state
             .lock()
@@ -1241,32 +1034,20 @@ impl ViewServer {
             .maint_stats()
     }
 
-    /// Naive end-to-end oracle check of the *live* engine state (single-
-    /// query servers; use
-    /// [`cross_check_workload`][ViewServer::cross_check_workload] for a
-    /// workload server).
+    /// Naive end-to-end oracle check of the *live* engine state against a
+    /// single rewriting: [`cross_check_workload`][ViewServer::cross_check_workload]
+    /// of its one-answer workload.
     pub fn cross_check(&self, result: &RewritingResult) -> Result<bool, NrsError> {
-        let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        match &st.maintained {
-            Engine::Single { maintained, .. } => Ok(maintained.cross_check(result)?),
-            Engine::Workload(_) => Err(NrsError::Internal(
-                "cross_check on a workload server: use cross_check_workload".into(),
-            )),
-        }
+        self.cross_check_workload(&result.into())
     }
 
-    /// Naive end-to-end oracle check of a workload server's live state:
-    /// every view, shared fragment and named answer compared against
-    /// from-scratch evaluation (and each answer against its unrewritten
-    /// query on the base).
+    /// Naive end-to-end oracle check of the live state: every view, shared
+    /// fragment and named answer compared against from-scratch evaluation
+    /// (and each answer against its unrewritten query on the base).  A
+    /// rewriting whose answers this server does not maintain checks false.
     pub fn cross_check_workload(&self, rewriting: &WorkloadRewriting) -> Result<bool, NrsError> {
         let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        match &st.maintained {
-            Engine::Workload(w) => Ok(w.cross_check(rewriting)?),
-            Engine::Single { .. } => Err(NrsError::Internal(
-                "cross_check_workload on a single-query server: use cross_check".into(),
-            )),
-        }
+        Ok(st.maintained.cross_check(rewriting)?)
     }
 
     /// Acquire the writer lock, running the lock-site fault hook (a fault
@@ -1349,11 +1130,17 @@ impl ViewServer {
 
     /// An immutable snapshot of the engine at `epoch` (cheap: the values are
     /// persistent, so the clones are pointer-deep).
-    fn capture(maintained: &Engine, epoch: u64) -> Snapshot {
+    /// The published views are the view materializations plus any shared
+    /// fragments: the instance the answers are maintained over.
+    fn capture(maintained: &MaintainedWorkload, epoch: u64) -> Snapshot {
         Snapshot {
             epoch,
-            answers: maintained.answers(),
-            views: maintained.published_views().clone(),
+            answers: maintained
+                .answers()
+                .into_iter()
+                .map(|(n, v)| (n, v.clone()))
+                .collect(),
+            views: maintained.answer_instance().clone(),
             base: maintained.base().clone(),
             degraded: maintained.degraded_operators(),
         }
@@ -1367,7 +1154,6 @@ impl std::fmt::Debug for ViewServer {
             .field("epoch", &snap.epoch)
             .field("degraded", &snap.degraded.len())
             .field("pending", &self.pending_len())
-            .field("workers", &self.config.workers)
             .finish()
     }
 }
@@ -1399,7 +1185,7 @@ mod tests {
     #[test]
     fn server_publishes_epochs_and_readers_keep_old_snapshots() {
         let (result, base) = setup(30, 11);
-        let server = ViewServer::new(&result, &base).expect("server");
+        let server = ViewServer::builder().serve(&result, &base).expect("server");
         assert_eq!(server.epoch(), 0);
         let old = server.snapshot();
         let answer0 = old.answer().clone();
@@ -1422,7 +1208,7 @@ mod tests {
     #[test]
     fn rejected_batches_change_nothing() {
         let (result, base) = setup(20, 3);
-        let server = ViewServer::new(&result, &base).expect("server");
+        let server = ViewServer::builder().serve(&result, &base).expect("server");
         let before = server.snapshot();
 
         // unknown relation: schema validation at submit time
@@ -1460,7 +1246,9 @@ mod tests {
         let result = problem
             .derive_rewriting(&SynthesisConfig::default())
             .expect("rewriting exists");
-        let server = ViewServer::new(&result, &small_base()).expect("server");
+        let server = ViewServer::builder()
+            .serve(&result, &small_base())
+            .expect("server");
         // inserting a member passes the schema but fails exactness at flush
         let mut dup = UpdateBatch::new();
         dup.insert("S", Value::atom(1));
@@ -1482,7 +1270,9 @@ mod tests {
         let result = problem
             .derive_rewriting(&SynthesisConfig::default())
             .expect("rewriting exists");
-        let server = ViewServer::new(&result, &small_base()).expect("server");
+        let server = ViewServer::builder()
+            .serve(&result, &small_base())
+            .expect("server");
         // insert 10 then delete it again: the coalesced batch must cancel,
         // otherwise exactness would reject the delete of a non-member
         let mut b1 = UpdateBatch::new();
@@ -1519,7 +1309,10 @@ mod tests {
             queue_capacity: 2,
             ..ServerConfig::default()
         };
-        let server = ViewServer::with_config(&result, &small_base(), config).expect("server");
+        let server = ViewServer::builder()
+            .config(config)
+            .serve(&result, &small_base())
+            .expect("server");
         let mut b1 = UpdateBatch::new();
         b1.insert("S", Value::atom(10));
         let mut b2 = UpdateBatch::new();
@@ -1553,8 +1346,12 @@ mod tests {
             queue_capacity: 1,
             ..ServerConfig::default()
         };
-        let server =
-            Arc::new(ViewServer::with_config(&result, &small_base(), config).expect("server"));
+        let server = Arc::new(
+            ViewServer::builder()
+                .config(config)
+                .serve(&result, &small_base())
+                .expect("server"),
+        );
         let mut b1 = UpdateBatch::new();
         b1.insert("S", Value::atom(10));
         let mut b2 = UpdateBatch::new();
@@ -1596,7 +1393,10 @@ mod tests {
             max_batch: 2,
             ..ServerConfig::default()
         };
-        let server = ViewServer::with_config(&result, &small_base(), config).expect("server");
+        let server = ViewServer::builder()
+            .config(config)
+            .serve(&result, &small_base())
+            .expect("server");
         for i in 0..5u64 {
             let mut b = UpdateBatch::new();
             b.insert("S", Value::atom(100 + i));
@@ -1620,7 +1420,12 @@ mod tests {
             batch_window: Duration::from_millis(1),
             ..ServerConfig::default()
         };
-        let server = Arc::new(ViewServer::with_config(&result, &base, config).expect("server"));
+        let server = Arc::new(
+            ViewServer::builder()
+                .config(config)
+                .serve(&result, &base)
+                .expect("server"),
+        );
         let handle = server.start();
         let mut producers = Vec::new();
         for p in 0..3u64 {
@@ -1658,36 +1463,36 @@ mod tests {
 
     #[test]
     fn sharded_workers_report_counters_and_agree_with_sequential() {
+        // one wide batch against the same tuples applied one flush at a time
         let (result, base) = setup(40, 9);
-        let sequential = ViewServer::new(&result, &base).expect("sequential");
-        let config = ServerConfig {
-            workers: 3,
-            ..ServerConfig::default()
-        };
-        let sharded = ViewServer::with_config(&result, &base, config).expect("sharded");
+        let one_by_one = ViewServer::builder()
+            .serve(&result, &base)
+            .expect("one by one");
+        let wide = ViewServer::builder().serve(&result, &base).expect("wide");
         let mut batch = UpdateBatch::new();
         for i in 0..8u64 {
+            let mut single = UpdateBatch::new();
+            single.insert("S", Value::atom(9100 + i));
+            one_by_one.apply(&single).expect("single-tuple apply");
             batch.insert("S", Value::atom(9100 + i));
         }
+        let mut single = UpdateBatch::new();
+        single.insert("F", Value::atom(9100));
+        one_by_one.apply(&single).expect("single-tuple apply");
         batch.insert("F", Value::atom(9100));
-        let seq = sequential.apply(&batch).expect("sequential apply");
-        let par = sharded.apply(&batch).expect("sharded apply");
-        assert_eq!(seq.snapshot.answer(), par.snapshot.answer());
-        assert_eq!(seq.answer_delta, par.answer_delta);
-        assert_eq!(par.workers, 3);
-        assert_eq!(seq.workers, 1);
+        let report = wide.apply(&batch).expect("wide apply");
+        assert_eq!(one_by_one.snapshot().answer(), report.snapshot.answer());
         assert!(
-            par.maint.parallel_rounds > 0,
-            "an 9-tuple batch fans out: {:?}",
-            par.maint
+            report.maint.rounds > 0 && report.maint.touched_members >= 9,
+            "a 9-tuple batch runs rounds over its members: {:?}",
+            report.maint
         );
-        assert!(par.maint.shards_dispatched > par.maint.parallel_rounds);
         assert_eq!(
-            seq.maint.parallel_rounds, 0,
-            "one worker never dispatches: {:?}",
-            seq.maint
+            wide.maint_stats(),
+            report.maint,
+            "all attributed to the flush"
         );
-        assert!(sharded.cross_check(&result).expect("oracle"));
+        assert!(wide.cross_check(&result).expect("oracle"));
     }
 
     #[test]
@@ -1696,7 +1501,9 @@ mod tests {
         let result = problem
             .derive_rewriting(&SynthesisConfig::default())
             .expect("rewriting exists");
-        let server = ViewServer::new(&result, &small_base()).expect("server");
+        let server = ViewServer::builder()
+            .serve(&result, &small_base())
+            .expect("server");
         assert_eq!(server.dropped_batches(), 0);
         assert!(server.last_drop_error().is_none());
         // two schema-valid batches whose coalesced net fails exactness (1 is
@@ -1730,7 +1537,11 @@ mod tests {
         let result = problem
             .derive_rewriting(&SynthesisConfig::default())
             .expect("rewriting exists");
-        let server = Arc::new(ViewServer::new(&result, &small_base()).expect("server"));
+        let server = Arc::new(
+            ViewServer::builder()
+                .serve(&result, &small_base())
+                .expect("server"),
+        );
         let mut dup = UpdateBatch::new();
         dup.insert("S", Value::atom(1));
         server.submit(&dup).expect("schema-valid");
@@ -1754,7 +1565,7 @@ mod tests {
         // flush exercises the IVM engine and the serving layer: one
         // snapshot must report all of them (shared global registry).
         let (result, base) = setup(20, 7);
-        let server = ViewServer::new(&result, &base).expect("server");
+        let server = ViewServer::builder().serve(&result, &base).expect("server");
         let mut batch = UpdateBatch::new();
         batch.insert("S", Value::atom(7777));
         batch.insert("F", Value::atom(7777));
@@ -1788,7 +1599,9 @@ mod tests {
             .derive_workload(&SynthesisConfig::default())
             .expect("workload rewriting exists");
         let base = partition_instance(20, 13);
-        let server = ViewServer::serve_workload(&rewriting, &base).expect("server");
+        let server = ViewServer::builder()
+            .serve_workload(&rewriting, &base)
+            .expect("server");
         let snap = server.snapshot();
         assert_eq!(snap.epoch, 0);
         assert_eq!(snap.answers().len(), 4, "one named answer per query");
@@ -1820,19 +1633,15 @@ mod tests {
         assert_eq!(report.answer_delta, report.answer_deltas[0].1);
         assert!(server.cross_check_workload(&rewriting).expect("oracle"));
         // coverage is reported per query, with the shared fragments visible
-        let wc = server.workload_coverage().expect("workload server");
+        let wc = server.workload_coverage();
         assert_eq!(wc.answers.len(), 4);
         assert!(!wc.shared.is_empty(), "the fixture shares a fragment");
         assert!(wc.fully_incremental());
-        // the single-query cross_check refuses a workload server
-        let err = server
-            .cross_check(
-                &partition_problem()
-                    .derive_rewriting(&SynthesisConfig::default())
-                    .unwrap(),
-            )
-            .unwrap_err();
-        assert!(matches!(err, NrsError::Internal(_)), "got {err}");
+        // a rewriting whose answer this server does not maintain checks false
+        let single = partition_problem()
+            .derive_rewriting(&SynthesisConfig::default())
+            .unwrap();
+        assert!(!server.cross_check(&single).expect("oracle"));
     }
 
     #[test]
@@ -1859,33 +1668,6 @@ mod tests {
         for (name, _) in rewriting.queries() {
             assert!(snap.answer_named(name).is_some(), "answer {name} published");
         }
-    }
-
-    #[test]
-    fn builder_path_matches_legacy_constructors() {
-        let (result, base) = setup(14, 2);
-        let legacy = ViewServer::with_config(
-            &result,
-            &base,
-            ServerConfig {
-                workers: 2,
-                max_batch: 8,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("legacy");
-        let fluent = ViewServer::builder()
-            .workers(2)
-            .max_batch(8)
-            .serve(&result, &base)
-            .expect("fluent");
-        assert_eq!(legacy.config().workers, fluent.config().workers);
-        assert_eq!(legacy.config().max_batch, fluent.config().max_batch);
-        assert_eq!(legacy.snapshot().answer(), fluent.snapshot().answer());
-        assert_eq!(
-            legacy.snapshot().answers().len(),
-            fluent.snapshot().answers().len()
-        );
     }
 
     #[test]

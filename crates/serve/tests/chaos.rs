@@ -14,18 +14,14 @@
 #![cfg(feature = "fault-injection")]
 
 use nrs_ivm::fault::{FaultPlan, FaultScope};
-use nrs_serve::{ServerConfig, ViewServer};
+use nrs_serve::ViewServer;
 use nrs_synthesis::views::partition_problem;
-use nrs_synthesis::{RewritingResult, SynthesisConfig, UpdateBatch};
+use nrs_synthesis::{
+    overlapping_workload_problem, DegradedOperator, RewritingResult, StageKind, SynthesisConfig,
+    UpdateBatch, WorkloadRewriting,
+};
 use nrs_value::{Instance, Name, Value};
 use std::collections::BTreeSet;
-
-fn config(workers: usize) -> ServerConfig {
-    ServerConfig {
-        workers,
-        ..ServerConfig::default()
-    }
-}
 
 fn base() -> Instance {
     let s: BTreeSet<Value> = [1u64, 2, 3, 4].into_iter().map(Value::atom).collect();
@@ -50,9 +46,8 @@ fn rewriting() -> RewritingResult {
         .expect("rewriting exists")
 }
 
-/// A wider batch (several fresh members per relation) so sharded servers
-/// get delta rounds with >= 2 items, which is what makes the engine fan
-/// out across workers and reach the `ivm.shard.*` sites.
+/// A wider batch (several fresh members per relation), so delta rounds
+/// hold several items each.
 fn wide_batch() -> UpdateBatch {
     let mut b = UpdateBatch::new();
     for i in 0..4u64 {
@@ -63,38 +58,46 @@ fn wide_batch() -> UpdateBatch {
     b
 }
 
+/// A server of `rewriting` (a single rewriting is served as its
+/// one-answer workload).
+fn serve(rewriting: &WorkloadRewriting, base: &Instance) -> ViewServer {
+    ViewServer::builder()
+        .serve_workload(rewriting, base)
+        .expect("server")
+}
+
 /// Discovery pass: how many instrumented sites does one submit+flush
-/// round reach on a server built with `config`?
-fn discovery(
-    result: &RewritingResult,
-    base: &Instance,
-    config: ServerConfig,
-    batch: &UpdateBatch,
-) -> u64 {
-    let server = ViewServer::with_config(result, base, config).expect("server");
+/// round reach?
+fn discovery(rewriting: &WorkloadRewriting, base: &Instance, batch: &UpdateBatch) -> u64 {
+    let server = serve(rewriting, base);
     let scope = FaultScope::new(FaultPlan::count_only());
     server.apply(batch).expect("clean apply under count_only");
     scope.hits()
 }
 
-/// Run the full discovery-then-inject sweep against servers built with
-/// `config` (notably: sequential vs sharded-parallel maintenance).
-fn sweep_every_reachable_site(config: ServerConfig, batch: &UpdateBatch) {
-    let result = rewriting();
+/// Run the full discovery-then-inject sweep against servers of
+/// `rewriting`; returns every operator the self-healing flushes degraded.
+fn sweep_every_reachable_site(
+    rewriting: &WorkloadRewriting,
+    batch: &UpdateBatch,
+) -> Vec<DegradedOperator> {
     let base = base();
     let batch = batch.clone();
 
-    // the reference answer a fault-free server publishes for this batch
-    let reference = ViewServer::new(&result, &base).expect("reference server");
-    let want = reference.apply(&batch).expect("clean apply").snapshot;
+    // the answers a fault-free server publishes for this batch
+    let want = serve(rewriting, &base)
+        .apply(&batch)
+        .expect("clean apply")
+        .snapshot;
     assert_eq!(want.epoch, 1);
 
-    let hits = discovery(&result, &base, config.clone(), &batch);
+    let hits = discovery(rewriting, &base, &batch);
     // at minimum: the ingest point, the flush lock and the publish point
     assert!(hits >= 3, "expected >= 3 sites, found {hits}");
 
+    let mut degraded = Vec::new();
     for n in 0..hits {
-        let server = ViewServer::with_config(&result, &base, config.clone()).expect("server");
+        let server = serve(rewriting, &base);
         // a reader takes a snapshot before the faulted round
         let reader = server.snapshot();
         let outcome = {
@@ -111,18 +114,19 @@ fn sweep_every_reachable_site(config: ServerConfig, batch: &UpdateBatch) {
                     "site {n}: a fault fired but nothing was degraded"
                 );
                 assert_eq!(
-                    report.snapshot.answer(),
-                    want.answer(),
+                    report.snapshot.answers(),
+                    want.answers(),
                     "site {n}: degraded plan diverged"
                 );
+                degraded.extend(report.degraded);
             }
             Err(e) => {
                 // the round failed outright: readers keep the old epoch
                 assert_eq!(server.epoch(), 0, "site {n}: partial epoch published");
                 assert_eq!(
-                    server.snapshot().answer(),
-                    reader.answer(),
-                    "site {n}: published answer changed without an epoch"
+                    server.snapshot().answers(),
+                    reader.answers(),
+                    "site {n}: published answers changed without an epoch"
                 );
                 assert!(
                     !e.is_rejection(),
@@ -137,8 +141,8 @@ fn sweep_every_reachable_site(config: ServerConfig, batch: &UpdateBatch) {
                 let report = server.flush().expect("clean retry");
                 assert_eq!(report.snapshot.epoch, 1, "site {n}");
                 assert_eq!(
-                    report.snapshot.answer(),
-                    want.answer(),
+                    report.snapshot.answers(),
+                    want.answers(),
                     "site {n}: recovered server diverged"
                 );
             }
@@ -146,32 +150,61 @@ fn sweep_every_reachable_site(config: ServerConfig, batch: &UpdateBatch) {
         // the reader's snapshot was never touched
         assert_eq!(reader.epoch, 0);
         assert!(
-            server.cross_check(&result).expect("oracle"),
+            server.cross_check_workload(rewriting).expect("oracle"),
             "site {n}: live state disagrees with the naive oracle"
         );
     }
+    degraded
 }
 
 #[test]
 fn chaos_every_reachable_site_keeps_readers_on_a_complete_epoch() {
-    sweep_every_reachable_site(config(1), &batch());
+    sweep_every_reachable_site(&(&rewriting()).into(), &batch());
 }
 
-/// The same sweep with sharded-parallel maintenance: the shard dispatch
-/// and merge sites join the reachable set, and every one of them must
-/// still roll back to a complete epoch and converge on retry.
+/// The same sweep with a wide batch: every delta round holds several
+/// members, and every site must still roll back to a complete epoch and
+/// converge on retry.
 #[test]
 fn chaos_sharded_workers_sweep_keeps_readers_on_a_complete_epoch() {
-    let result = rewriting();
-    let base = base();
-    let wide = wide_batch();
-    let hits_seq = discovery(&result, &base, config(1), &wide);
-    let hits_par = discovery(&result, &base, config(3), &wide);
+    sweep_every_reachable_site(&(&rewriting()).into(), &wide_batch());
+}
+
+/// The sweep over a workload server, whose shared-fragment stage sits
+/// between the views and the answers: faults in every stage — views,
+/// shared fragments, answers — roll back to a complete epoch and converge
+/// to the workload oracle, and each degraded operator names the kind of
+/// stage it belongs to.
+#[test]
+fn chaos_workload_sweep_keeps_readers_on_a_complete_epoch() {
+    let rewriting = overlapping_workload_problem(4)
+        .derive_workload(&SynthesisConfig::default())
+        .expect("workload rewriting exists");
     assert!(
-        hits_par > hits_seq,
-        "sharding added no sites ({hits_seq} sequential vs {hits_par} sharded)"
+        !rewriting.shared().views.is_empty(),
+        "the fixture must produce at least one shared fragment"
     );
-    sweep_every_reachable_site(config(3), &wide);
+    let queries: Vec<Name> = rewriting.queries().iter().map(|(n, _)| *n).collect();
+    let degraded = sweep_every_reachable_site(&rewriting, &batch());
+    for kind in [StageKind::View, StageKind::Shared, StageKind::Answer] {
+        assert!(
+            degraded.iter().any(|d| d.kind == kind),
+            "no {kind} operator was degraded: {degraded:?}"
+        );
+    }
+    for d in &degraded {
+        if d.kind == StageKind::Answer {
+            assert!(
+                queries.contains(&d.owner),
+                "answer owner {} is a query",
+                d.owner
+            );
+            assert_eq!(
+                d.to_string(),
+                format!("answer {} operator #{}", d.owner, d.op)
+            );
+        }
+    }
 }
 
 /// Observability under chaos: a flush that fails at the **publish** site —
@@ -187,7 +220,7 @@ fn chaos_failed_flush_emits_a_complete_span_tree_with_an_error_event() {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    let result = rewriting();
+    let single = (&rewriting()).into();
     let base = base();
     let batch = batch();
     let sink = Arc::new(CaptureSink::new());
@@ -195,10 +228,10 @@ fn chaos_failed_flush_emits_a_complete_span_tree_with_an_error_event() {
 
     // there is no fail-at-named-site plan: count the reachable sites, then
     // fault each ordinal until the publish site is the one that fires
-    let hits = discovery(&result, &base, config(1), &batch);
+    let hits = discovery(&single, &base, &batch);
     let mut publish_checked = false;
     for n in 0..hits {
-        let server = ViewServer::with_config(&result, &base, config(1)).expect("server");
+        let server = serve(&single, &base);
         sink.clear();
         // a unique marker identifies this thread's events in the global
         // sink (concurrent tests emit their own spans into it)
@@ -286,16 +319,18 @@ fn chaos_seeded_plans_always_recover() {
     let result = rewriting();
     let base = base();
     let batch = batch();
-    let reference = ViewServer::new(&result, &base).expect("reference server");
+    let reference = ViewServer::builder()
+        .serve(&result, &base)
+        .expect("reference server");
     let want = reference.apply(&batch).expect("clean apply").snapshot;
     let hits = {
-        let server = ViewServer::new(&result, &base).expect("server");
+        let server = ViewServer::builder().serve(&result, &base).expect("server");
         let scope = FaultScope::new(FaultPlan::count_only());
         server.apply(&batch).expect("clean apply");
         scope.hits()
     };
     for seed in [0u64, 7, 42, 1_000_003, u64::MAX] {
-        let server = ViewServer::new(&result, &base).expect("server");
+        let server = ViewServer::builder().serve(&result, &base).expect("server");
         let outcome = {
             let _scope = FaultScope::new(FaultPlan::seeded(seed, hits));
             server.submit(&batch).and_then(|()| server.flush())

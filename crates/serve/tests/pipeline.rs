@@ -1,10 +1,10 @@
 //! End-to-end stress of the serving pipeline: many producers submitting
 //! through the bounded ingest queue, the dedicated batching writer thread
-//! draining it with sharded-parallel maintenance, and concurrent readers
+//! draining it, and concurrent readers
 //! taking snapshots throughout — checked against the naive oracle and a
 //! reference server that applies everything as one batch.
 
-use nrs_serve::{NrsError, ServerConfig, ViewServer};
+use nrs_serve::{NrsError, ViewServer};
 use nrs_synthesis::views::{partition_instance, partition_problem};
 use nrs_synthesis::{RewritingResult, SynthesisConfig, UpdateBatch};
 use nrs_value::{Name, Value};
@@ -32,14 +32,15 @@ fn many_producers_one_writer_converge_to_the_oracle() {
     let result = rewriting();
     let base = partition_instance(50, 7);
     // a deliberately tight pipeline: tiny queue so producers feel
-    // backpressure, small flushes, sharded maintenance
-    let config = ServerConfig {
-        queue_capacity: 8,
-        max_batch: 4,
-        batch_window: Duration::from_millis(1),
-        workers: 2,
-    };
-    let server = Arc::new(ViewServer::with_config(&result, &base, config).expect("server"));
+    // backpressure, small flushes
+    let server = Arc::new(
+        ViewServer::builder()
+            .queue_capacity(8)
+            .max_batch(4)
+            .batch_window(Duration::from_millis(1))
+            .serve(&result, &base)
+            .expect("server"),
+    );
     let writer = server.start();
 
     // readers: snapshots must always be complete epochs with monotonically
@@ -126,7 +127,9 @@ fn many_producers_one_writer_converge_to_the_oracle() {
     // ...the live engine agrees with the naive oracle...
     assert!(server.cross_check(&result).expect("oracle"));
     // ...and with a sequential reference server applying one big batch
-    let reference = ViewServer::new(&result, &base).expect("reference");
+    let reference = ViewServer::builder()
+        .serve(&result, &base)
+        .expect("reference");
     let mut all = UpdateBatch::new();
     for p in 0..PRODUCERS {
         for i in 0..BATCHES_PER_PRODUCER {
@@ -142,28 +145,22 @@ fn many_producers_one_writer_converge_to_the_oracle() {
 fn flush_reports_attribute_engine_rounds_to_the_flush() {
     let result = rewriting();
     let base = partition_instance(40, 3);
-    let config = ServerConfig {
-        workers: 3,
-        ..ServerConfig::default()
-    };
-    let server = ViewServer::with_config(&result, &base, config).expect("server");
+    let server = ViewServer::builder().serve(&result, &base).expect("server");
     let mut batch = UpdateBatch::new();
     for i in 0..6u64 {
         batch.insert("S", Value::atom(2_000_000 + i));
     }
     let first = server.apply(&batch).expect("first apply");
-    assert_eq!(first.workers, 3);
     assert!(
         first.maint.rounds > 0,
         "no rounds attributed: {:?}",
         first.maint
     );
     assert!(
-        first.maint.parallel_rounds > 0,
-        "6 fresh members must fan out: {:?}",
+        first.maint.touched_members >= 6,
+        "6 fresh members must be touched: {:?}",
         first.maint
     );
-    assert!(first.maint.sharded_items >= 6);
     // an empty flush attributes nothing
     let empty = server.flush().expect("empty flush");
     assert_eq!(empty.maint, nrs_synthesis::MaintStats::default());

@@ -22,7 +22,7 @@
 //! no span file).
 
 use nested_synth::obs;
-use nested_synth::serve::{ServerConfig, ViewServer};
+use nested_synth::serve::ViewServer;
 use nested_synth::synthesis::views::{partition_instance, partition_problem};
 use nested_synth::synthesis::{SynthesisConfig, UpdateBatch};
 use nested_synth::value::Value;
@@ -59,19 +59,13 @@ fn main() {
     // batch and flush-stage instrumentation all see real traffic.
     let base = partition_instance(size, 42);
     let server = Arc::new(
-        ViewServer::with_config(
-            &rewriting,
-            &base,
-            ServerConfig {
-                batch_window: Duration::from_micros(200),
-                // small flushes so the batch/stage histograms get a
-                // distribution, not a single point
-                max_batch: 8,
-                workers: 2,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("server"),
+        ViewServer::builder()
+            .batch_window(Duration::from_micros(200))
+            // small flushes so the batch/stage histograms get a
+            // distribution, not a single point
+            .max_batch(8)
+            .serve(&rewriting, &base)
+            .expect("server"),
     );
     let writer = server.start();
     for i in 0..updates {

@@ -11,7 +11,7 @@
 //! Run with `cargo run --release --example serve_views [size] [updates]`
 //! (defaults: 2000 base tuples, 200 updates).
 
-use nested_synth::serve::{NrsError, ServerConfig, ViewServer};
+use nested_synth::serve::{NrsError, ViewServer};
 use nested_synth::synthesis::views::{partition_instance, partition_problem};
 use nested_synth::synthesis::{SynthesisConfig, UpdateBatch};
 use nested_synth::value::Value;
@@ -29,7 +29,11 @@ fn main() {
         .expect("the partition views determine the query");
     let base = partition_instance(size, 42);
     let t0 = Instant::now();
-    let server = Arc::new(ViewServer::new(&rewriting, &base).expect("server"));
+    let server = Arc::new(
+        ViewServer::builder()
+            .serve(&rewriting, &base)
+            .expect("server"),
+    );
     println!(
         "serving |S|={size} at epoch {} after {:.1?}",
         server.epoch(),
@@ -113,17 +117,11 @@ fn main() {
     // the exactness check, the engine pass and the epoch publication are
     // paid once per batch window, not once per update.
     let pipe = Arc::new(
-        ViewServer::with_config(
-            &rewriting,
-            &base,
-            ServerConfig {
-                queue_capacity: 4,
-                batch_window: Duration::from_micros(200),
-                workers: 2,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("pipelined server"),
+        ViewServer::builder()
+            .queue_capacity(4)
+            .batch_window(Duration::from_micros(200))
+            .serve(&rewriting, &base)
+            .expect("pipelined server"),
     );
     // Before the writer runs, the bounded queue pushes back with a typed,
     // transient error instead of growing without bound.
